@@ -4,23 +4,23 @@
 //! Figure 2(a) would — but through two implementations of the same
 //! arithmetic:
 //!
-//! * [`ShiftConv::run`] / [`ShiftLinear::run`] — the **deployed hot
-//!   path**: weights stay in their packed 4-bit nibble form
-//!   ([`PackedPow2Matrix`]) and flow through the shift-only
-//!   [`mfdfp_tensor::qgemm_i8`] kernel (im2col for convolutions), whose
-//!   inner loop is pure shift/mask/add — no `Pow2Weight` decode, no
-//!   branch, no multiply. Activations stay 8-bit codes end to end: the
-//!   im2col gather copies `i8` bytes and the kernel widens in register,
-//!   so staging traffic is a quarter of the old `i32` layout and the
-//!   9-bit operand audit is structural. With the `parallel` cargo
-//!   feature, large layers fan output rows across OS threads.
+//! * [`ShiftConv::run_batch_into`] / [`ShiftLinear::run_batch_into`] —
+//!   the **deployed hot path**: weights stay in their packed 4-bit nibble
+//!   form ([`PackedPow2Matrix`]) and flow through the shift-only
+//!   [`mfdfp_tensor::qgemm_fused_into_i8`] kernel (im2col for
+//!   convolutions), whose inner loop is pure shift/mask/add — no
+//!   `Pow2Weight` decode, no branch, no multiply. Activations stay 8-bit
+//!   codes end to end: the im2col gather copies `i8` bytes and the kernel
+//!   widens in register, so the operand bound is structural. Large layers
+//!   fan output rows across the persistent pool when its width
+//!   (`MFDFP_THREADS`) is ≥ 2.
 //!
-//!   The scratch-free entries [`ShiftConv::run_into`] /
-//!   [`ShiftLinear::run_into`] write into caller buffers and draw their
-//!   staging space from a [`Workspace`]; the allocating `run` wrappers
-//!   route through the calling thread's persistent workspace, so on a
-//!   long-lived thread even they stop allocating scratch after the first
-//!   call (only the returned `Vec` remains).
+//!   These entries write into caller buffers and draw their staging
+//!   space from a [`Workspace`]; the allocating single-image
+//!   [`ShiftConv::run`] / [`ShiftLinear::run`] wrappers are the same path
+//!   at batch 1 through the calling thread's persistent workspace, so on
+//!   a long-lived thread even they stop allocating scratch after the
+//!   first call (only the returned `Vec` remains).
 //! * [`ShiftConv::run_reference`] / [`ShiftLinear::run_reference`] — the
 //!   **decode-based audit path**: every nibble is unpacked to a
 //!   [`Pow2Weight`], products go one [`Pow2Weight::mul_shift`] at a time
@@ -43,8 +43,7 @@
 
 use mfdfp_dfp::{Accumulator, AdderTree, I64Section, PackedPow2Matrix, Pow2Weight};
 use mfdfp_tensor::{
-    im2col_batched_i8, qgemm_fused_into_i8, qgemm_into_i8, with_thread_workspace, ConvGeometry,
-    Workspace,
+    im2col_batched_i8, qgemm_fused_into_i8, with_thread_workspace, ConvGeometry, Workspace,
 };
 
 use crate::error::{AccelError, Result};
@@ -73,11 +72,8 @@ pub struct ShiftConv {
 
 impl ShiftConv {
     /// Executes the layer on one image of activation codes (`C×H×W`,
-    /// row-major), returning output codes (`OutC×OH×OW`) — the packed
-    /// shift-only path: `i8` im2col, then [`mfdfp_tensor::qgemm_i8`]
-    /// straight over the nibble codes.
-    ///
-    /// Thin wrapper over [`ShiftConv::run_into`] drawing scratch from the
+    /// row-major), returning output codes (`OutC×OH×OW`):
+    /// [`ShiftConv::run_batch_into`] at batch 1, drawing scratch from the
     /// calling thread's persistent workspace; only the returned `Vec`
     /// allocates once the thread is warm.
     ///
@@ -87,65 +83,16 @@ impl ShiftConv {
     /// propagates the kernel's overflow audits as [`AccelError::Tensor`].
     pub fn run(&self, input: &[i8]) -> Result<Vec<i8>> {
         let mut out = vec![0i8; self.out_len()];
-        with_thread_workspace(|ws| self.run_into(input, ws, &mut out))?;
+        with_thread_workspace(|ws| self.run_batch_into(input, 1, ws, &mut out))?;
         Ok(out)
     }
 
-    /// The allocation-free entry: executes the layer into `out`
-    /// (`OutC×OH×OW` codes), staging the `i8` im2col columns in `ws`.
-    /// With a warmed workspace this performs zero heap allocations —
-    /// activation codes stream byte-for-byte from `input` through the
-    /// gather into the in-register-widening kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::BadInput`] if `input` or `out` have the
-    /// wrong length and propagates the kernel's overflow audits as
-    /// [`AccelError::Tensor`].
-    pub fn run_into(&self, input: &[i8], ws: &mut Workspace, out: &mut [i8]) -> Result<()> {
-        let g = &self.geom;
-        self.validate(input.len())?;
-        if out.len() != self.out_len() {
-            return Err(AccelError::BadInput { expected: self.out_len(), actual: out.len() });
-        }
-        let npix = g.out_h() * g.out_w();
-        let syn = g.col_height();
-        let acc_frac = self.in_frac as i32 + PRODUCT_FRAC_SHIFT;
-        let group_out = g.out_c / g.groups;
-        // `i8` im2col for one group (`syn × npix`): one synapse's
-        // activations across all output pixels are contiguous, the layout
-        // the packed kernel streams — still 8-bit codes, so the gather is
-        // a byte copy and the staging buffer is 4× leaner than the old
-        // `i32` layout.
-        let xt = ws.im2col_i8(syn * npix);
-        for grp in 0..g.groups {
-            {
-                let _span = mfdfp_obs::span!("conv.im2col", (syn * npix) as u64);
-                gather_group_columns(input, g, grp, xt);
-            }
-            // One fetch_add per group: the gather staged `syn·npix` i8
-            // bytes for this group's column matrix.
-            mfdfp_obs::ops::record_im2col_bytes((syn * npix) as u64);
-            let row0 = grp * group_out;
-            qgemm_into_i8(
-                &self.weights,
-                row0,
-                group_out,
-                xt,
-                npix,
-                &self.bias[row0..row0 + group_out],
-                acc_frac,
-                self.out_frac as i32,
-                &mut out[row0 * npix..(row0 + group_out) * npix],
-            )
-            .map_err(AccelError::Tensor)?;
-        }
-        Ok(())
-    }
-
-    /// The batch-fused entry: executes the layer on `batch` images at
-    /// once — **one** im2col gather and **one** packed shift-MAC pass per
-    /// channel group for the whole batch, instead of `batch` of each.
+    /// The allocation-free, batch-fused entry: executes the layer on
+    /// `batch` images at once — **one** im2col gather and **one** packed
+    /// shift-MAC pass per channel group for the whole batch, instead of
+    /// `batch` of each. With a warmed workspace this performs zero heap
+    /// allocations — activation codes stream byte-for-byte from `input`
+    /// through the gather into the in-register-widening kernel.
     ///
     /// `input` and `out` use the element-interleaved fused layout
     /// ([`mfdfp_tensor::im2col_batched_i8`]): element `e` (usual `C×H×W`
@@ -154,11 +101,11 @@ impl ShiftConv {
     /// chain with no re-staging, and `batch = 1` is byte-for-byte the
     /// per-image layout.
     ///
-    /// Bit-identical to `batch` calls of [`ShiftConv::run_into`] — the
-    /// kernel's per-output accumulation order does not depend on the
-    /// column count (see [`mfdfp_tensor::qgemm_fused_into_i8`]) — while
-    /// the row-banded parallel threshold now sees the whole layer-batch
-    /// product, splitting per-layer instead of per-image work. The
+    /// Bit-identical to `batch` calls at batch 1 — the kernel's
+    /// per-output accumulation order does not depend on the column count
+    /// (see [`mfdfp_tensor::qgemm_fused_into_i8`]) — while the row-banded
+    /// parallel threshold sees the whole layer-batch product, splitting
+    /// per-layer instead of per-image work. The
     /// workspace must be planned with the batch dimension
     /// (`WorkspacePlan::for_batch`): staging needs
     /// `im2col_len() × batch` `i8` elements.
@@ -181,7 +128,7 @@ impl ShiftConv {
         }
         let g = &self.geom;
         let expect = g.in_c * g.in_h * g.in_w;
-        // Weight/bias shape checks are shared with the per-image path.
+        // Weight/bias shape checks are shared with the reference path.
         self.validate(expect)?;
         if input.len() != expect * batch {
             return Err(AccelError::BadInput { expected: expect * batch, actual: input.len() });
@@ -327,42 +274,6 @@ impl ShiftConv {
     }
 }
 
-/// Fills `xt` (a `col_height × OH·OW` row-major buffer) with group
-/// `grp`'s receptive fields as raw `i8` codes, zero for padding — the
-/// standard im2col layout [`mfdfp_tensor::qgemm_i8`] streams (one
-/// synapse's activations across all output pixels contiguous). A plain
-/// byte copy: no widening anywhere in the gather.
-fn gather_group_columns(input: &[i8], g: &ConvGeometry, grp: usize, xt: &mut [i8]) {
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let npix = oh * ow;
-    let k = g.kernel;
-    let group_in = g.in_c / g.groups;
-    let c_lo = grp * group_in;
-    let mut si = 0usize;
-    for c in c_lo..c_lo + group_in {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = &mut xt[si * npix..(si + 1) * npix];
-                let mut pix = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        row[pix] =
-                            if iy < 0 || ix < 0 || iy >= g.in_h as isize || ix >= g.in_w as isize {
-                                0
-                            } else {
-                                input[(c * g.in_h + iy as usize) * g.in_w + ix as usize]
-                            };
-                        pix += 1;
-                    }
-                }
-                si += 1;
-            }
-        }
-    }
-}
-
 /// A fully-connected layer in hardware representation.
 #[derive(Debug, Clone)]
 pub struct ShiftLinear {
@@ -384,10 +295,9 @@ pub struct ShiftLinear {
 }
 
 impl ShiftLinear {
-    /// Executes the layer on one activation-code vector — the packed
-    /// shift-only path ([`mfdfp_tensor::qgemm_i8`] with a single
-    /// activation column). Thin wrapper over [`ShiftLinear::run_into`];
-    /// only the returned `Vec` allocates.
+    /// Executes the layer on one activation-code vector:
+    /// [`ShiftLinear::run_batch_into`] at batch 1; only the returned
+    /// `Vec` allocates.
     ///
     /// # Errors
     ///
@@ -395,48 +305,18 @@ impl ShiftLinear {
     /// propagates the kernel's overflow audits as [`AccelError::Tensor`].
     pub fn run(&self, input: &[i8]) -> Result<Vec<i8>> {
         let mut out = vec![0i8; self.out_features];
-        self.run_into(input, &mut out)?;
+        self.run_batch_into(input, 1, &mut out)?;
         Ok(out)
     }
 
-    /// The allocation-free entry: executes the layer into `out`
-    /// (`out_features` codes). The input vector **is** the `k × 1` im2col
-    /// matrix in the `i8` streaming layout, so this stages nothing at all
-    /// — no widening copy, no scratch, zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::BadInput`] if `input` or `out` have the
-    /// wrong length and propagates the kernel's overflow audits as
-    /// [`AccelError::Tensor`].
-    pub fn run_into(&self, input: &[i8], out: &mut [i8]) -> Result<()> {
-        self.validate(input.len())?;
-        if out.len() != self.out_features {
-            return Err(AccelError::BadInput { expected: self.out_features, actual: out.len() });
-        }
-        let acc_frac = self.in_frac as i32 + PRODUCT_FRAC_SHIFT;
-        qgemm_into_i8(
-            &self.weights,
-            0,
-            self.out_features,
-            input,
-            1,
-            &self.bias,
-            acc_frac,
-            self.out_frac as i32,
-            out,
-        )
-        .map_err(AccelError::Tensor)
-    }
-
-    /// The batch-fused entry: one packed shift-MAC pass over `batch`
-    /// activation vectors at once. In the element-interleaved fused
-    /// layout the input buffer (`in_features × batch`, feature-major)
-    /// **is** the `k × batch` im2col column matrix, so — as with the
-    /// per-image path — this stages nothing at all; the whole batch is
-    /// one kernel call whose rows are `batch` columns wide. Bit-identical
-    /// to `batch` calls of [`ShiftLinear::run_into`] (see
-    /// [`mfdfp_tensor::qgemm_fused_into_i8`]).
+    /// The allocation-free, batch-fused entry: one packed shift-MAC pass
+    /// over `batch` activation vectors at once. In the element-interleaved
+    /// fused layout the input buffer (`in_features × batch`,
+    /// feature-major) **is** the `k × batch` im2col column matrix, so this
+    /// stages nothing at all — no widening copy, no scratch, zero heap
+    /// allocations; the whole batch is one kernel call whose rows are
+    /// `batch` columns wide. Bit-identical to `batch` calls at batch 1
+    /// (see [`mfdfp_tensor::qgemm_fused_into_i8`]).
     ///
     /// # Errors
     ///
@@ -447,7 +327,7 @@ impl ShiftLinear {
         if batch == 0 {
             return Err(AccelError::BadConfig("linear batch must be positive".into()));
         }
-        // Weight/bias shape checks are shared with the per-image path.
+        // Weight/bias shape checks are shared with the reference path.
         self.validate(self.in_features)?;
         if input.len() != self.in_features * batch {
             return Err(AccelError::BadInput {
@@ -619,25 +499,6 @@ pub fn max_pool_codes(
     pool_codes_alloc(input, channels, in_h, in_w, window, stride, true)
 }
 
-/// [`max_pool_codes`] into a caller buffer (`channels × oh × ow`, see
-/// [`pool_out_dims`]): the allocation-free pooling entry.
-///
-/// # Errors
-///
-/// Returns [`AccelError::BadInput`] on an input or output length
-/// mismatch.
-pub fn max_pool_codes_into(
-    input: &[i8],
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    window: usize,
-    stride: usize,
-    out: &mut [i8],
-) -> Result<()> {
-    pool_codes_into(input, channels, in_h, in_w, window, stride, true, out)
-}
-
 /// Average pooling on activation codes with round-half-away integer
 /// division.
 ///
@@ -660,30 +521,12 @@ pub fn avg_pool_codes(
     pool_codes_alloc(input, channels, in_h, in_w, window, stride, false)
 }
 
-/// [`avg_pool_codes`] into a caller buffer (`channels × oh × ow`, see
-/// [`pool_out_dims`]): the allocation-free pooling entry.
-///
-/// # Errors
-///
-/// Returns [`AccelError::BadInput`] on an input or output length
-/// mismatch.
-pub fn avg_pool_codes_into(
-    input: &[i8],
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    window: usize,
-    stride: usize,
-    out: &mut [i8],
-) -> Result<()> {
-    pool_codes_into(input, channels, in_h, in_w, window, stride, false, out)
-}
-
-/// [`max_pool_codes_into`] over a fused batch in the element-interleaved
+/// [`max_pool_codes`] into a caller buffer (`channels × oh × ow × batch`,
+/// see [`pool_out_dims`]) over a fused batch in the element-interleaved
 /// layout (element `e` of image `b` at `e · batch + b`, as produced by
-/// the batched conv path): each window is reduced independently per
-/// image, so the result is bit-identical to `batch` per-image pooling
-/// calls, de-interleaved.
+/// the batched conv path): the allocation-free pooling entry. Each window
+/// is reduced independently per image, so the result is bit-identical to
+/// `batch` per-image pooling calls, de-interleaved.
 ///
 /// # Errors
 ///
@@ -703,10 +546,10 @@ pub fn max_pool_codes_batch_into(
     pool_codes_batch_into(input, channels, in_h, in_w, window, stride, true, batch, out)
 }
 
-/// [`avg_pool_codes_into`] over a fused batch in the element-interleaved
-/// layout — see [`max_pool_codes_batch_into`] for the layout and
-/// bit-identity contract (the round-half-away division runs per image,
-/// exactly as in the per-image path).
+/// [`avg_pool_codes`] into a caller buffer over a fused batch in the
+/// element-interleaved layout — see [`max_pool_codes_batch_into`] for the
+/// layout and bit-identity contract (the round-half-away division runs
+/// per image).
 ///
 /// # Errors
 ///
@@ -738,32 +581,17 @@ fn pool_codes_alloc(
 ) -> Result<Vec<i8>> {
     let (oh, ow) = pool_out_dims(in_h, in_w, window, stride)?;
     let mut out = vec![0i8; channels * oh * ow];
-    pool_codes_into(input, channels, in_h, in_w, window, stride, is_max, &mut out)?;
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)] // private pooling frame + mode flag
-fn pool_codes_into(
-    input: &[i8],
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    window: usize,
-    stride: usize,
-    is_max: bool,
-    out: &mut [i8],
-) -> Result<()> {
     // `batch = 1` is exactly the per-image layout and loop.
-    pool_codes_batch_into(input, channels, in_h, in_w, window, stride, is_max, 1, out)
+    pool_codes_batch_into(input, channels, in_h, in_w, window, stride, is_max, 1, &mut out)?;
+    Ok(out)
 }
 
 /// The pooling workhorse, generalized over the fused batch dimension:
 /// input element `(c, iy, ix)` of image `b` lives at
 /// `((c·in_h + iy)·in_w + ix)·batch + b` and the output uses the same
 /// interleave. Each image's window reduction runs in the identical
-/// per-element order as the single-image loop, so `batch = 1` (every
-/// historical caller) is unchanged and larger batches are bit-identical
-/// to de-interleaved per-image calls.
+/// per-element order, so larger batches are bit-identical to
+/// de-interleaved `batch = 1` calls.
 #[allow(clippy::too_many_arguments)] // private pooling frame + mode flag + batch
 fn pool_codes_batch_into(
     input: &[i8],
@@ -980,6 +808,8 @@ mod tests {
 
     #[test]
     fn run_into_matches_run_and_validates_out_len() {
+        // The caller-buffer entry at batch 1 against the allocating
+        // wrapper, on an explicit (then reused) workspace.
         let geom = ConvGeometry::new(2, 5, 5, 3, 3, 1, 1).unwrap();
         let layer = ShiftConv {
             geom,
@@ -992,21 +822,21 @@ mod tests {
         let expect = layer.run(&input).unwrap();
         let mut ws = Workspace::new();
         let mut out = vec![0i8; layer.out_len()];
-        layer.run_into(&input, &mut ws, &mut out).unwrap();
+        layer.run_batch_into(&input, 1, &mut ws, &mut out).unwrap();
         assert_eq!(out, expect);
         // Reusing the warmed workspace must give the same answer.
         let mut again = vec![0i8; layer.out_len()];
-        layer.run_into(&input, &mut ws, &mut again).unwrap();
+        layer.run_batch_into(&input, 1, &mut ws, &mut again).unwrap();
         assert_eq!(again, expect);
         let mut short = vec![0i8; layer.out_len() - 1];
-        assert!(layer.run_into(&input, &mut ws, &mut short).is_err());
+        assert!(layer.run_batch_into(&input, 1, &mut ws, &mut short).is_err());
 
         let lin = dummy_linear(4, 2);
         let lexpect = lin.run(&[1, 2, 3, 4]).unwrap();
         let mut lout = vec![0i8; 2];
-        lin.run_into(&[1, 2, 3, 4], &mut lout).unwrap();
+        lin.run_batch_into(&[1, 2, 3, 4], 1, &mut lout).unwrap();
         assert_eq!(lout, lexpect);
-        assert!(lin.run_into(&[1, 2, 3, 4], &mut lout[..1]).is_err());
+        assert!(lin.run_batch_into(&[1, 2, 3, 4], 1, &mut lout[..1]).is_err());
     }
 
     /// Interleaves per-image buffers into the fused layout
@@ -1056,6 +886,9 @@ mod tests {
             layer.run_batch_into(&interleave(&imgs), batch, &mut ws, &mut fused).unwrap();
             let per: Vec<Vec<i8>> = imgs.iter().map(|img| layer.run(img).unwrap()).collect();
             assert_eq!(deinterleave(&fused, batch), per, "batch={batch}");
+            let oracle: Vec<Vec<i8>> =
+                imgs.iter().map(|img| layer.run_reference(img, &tree16()).unwrap()).collect();
+            assert_eq!(per, oracle, "batch={batch} vs decode oracle");
         }
     }
 
@@ -1076,6 +909,9 @@ mod tests {
         layer.run_batch_into(&interleave(&imgs), batch, &mut ws, &mut fused).unwrap();
         let per: Vec<Vec<i8>> = imgs.iter().map(|img| layer.run(img).unwrap()).collect();
         assert_eq!(deinterleave(&fused, batch), per);
+        let oracle: Vec<Vec<i8>> =
+            imgs.iter().map(|img| layer.run_reference(img, &tree16()).unwrap()).collect();
+        assert_eq!(per, oracle, "vs decode oracle");
     }
 
     #[test]
@@ -1087,6 +923,9 @@ mod tests {
             lin.run_batch_into(&interleave(&imgs), batch, &mut fused_out).unwrap();
             let per: Vec<Vec<i8>> = imgs.iter().map(|img| lin.run(img).unwrap()).collect();
             assert_eq!(deinterleave(&fused_out, batch), per, "batch={batch}");
+            let oracle: Vec<Vec<i8>> =
+                imgs.iter().map(|img| lin.run_reference(img, &tree16()).unwrap()).collect();
+            assert_eq!(per, oracle, "batch={batch} vs decode oracle");
         }
     }
 
@@ -1152,13 +991,15 @@ mod tests {
         for (window, stride) in [(2usize, 2usize), (3, 2), (3, 3)] {
             let (oh, ow) = pool_out_dims(5, 5, window, stride).unwrap();
             let mut out = vec![0i8; 2 * oh * ow];
-            max_pool_codes_into(&input, 2, 5, 5, window, stride, &mut out).unwrap();
+            max_pool_codes_batch_into(&input, 2, 5, 5, window, stride, 1, &mut out).unwrap();
             assert_eq!(out, max_pool_codes(&input, 2, 5, 5, window, stride).unwrap());
-            avg_pool_codes_into(&input, 2, 5, 5, window, stride, &mut out).unwrap();
+            avg_pool_codes_batch_into(&input, 2, 5, 5, window, stride, 1, &mut out).unwrap();
             assert_eq!(out, avg_pool_codes(&input, 2, 5, 5, window, stride).unwrap());
             // Wrong output size is rejected, not silently truncated.
             let mut bad = vec![0i8; 2 * oh * ow + 1];
-            assert!(max_pool_codes_into(&input, 2, 5, 5, window, stride, &mut bad).is_err());
+            assert!(
+                max_pool_codes_batch_into(&input, 2, 5, 5, window, stride, 1, &mut bad).is_err()
+            );
         }
     }
 

@@ -1,9 +1,9 @@
 //! The PR-3 contract: the packed shift-only `qgemm` hot path and the
 //! decode-based Figure 2(a) datapath are **bit-identical** — for dense and
 //! convolutional layers, every geometry quirk (odd synapse counts hitting
-//! the per-row pad nibble, grouped channels, padding, stride), and under
-//! both the serial and the `parallel`-feature builds (the CI matrix runs
-//! this file in both).
+//! the per-row pad nibble, grouped channels, padding, stride), and at
+//! every pool width (CI runs the workspace suite at the default width and
+//! under `MFDFP_THREADS=4`).
 //!
 //! The decode path (`run_reference`) audits products through the widening
 //! adder tree; the packed path never decodes a nibble. Agreement here is

@@ -14,8 +14,7 @@
 //! `ModelRegistry::load_zoo`, the serving cold-start end to end.
 //!
 //! Results are recorded in `BENCH_coldstart.json`; regenerate with
-//! `CRITERION_SHIM_OUT=path cargo bench -p mfdfp-bench --bench coldstart
-//! [--features parallel]`.
+//! `CRITERION_SHIM_OUT=path cargo bench -p mfdfp-bench --bench coldstart`.
 
 use std::sync::Arc;
 

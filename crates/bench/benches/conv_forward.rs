@@ -1,7 +1,7 @@
 //! Convolution throughput: float im2col+GEMM forward vs the bit-accurate
 //! integer shift datapath on the same geometry, plus serial-vs-parallel
-//! comparisons for the GEMM and batched-conv hot paths (build with
-//! `--features parallel` to exercise the threaded kernels).
+//! comparisons for the GEMM and batched-conv hot paths (the threaded
+//! kernels engage when the pool width, `MFDFP_THREADS`, is ≥ 2).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mfdfp_accel::ShiftConv;
@@ -27,13 +27,12 @@ fn bench_gemm_256(c: &mut Criterion) {
         })
     });
 
-    // With `--features parallel` this dispatches to the row-parallel
-    // kernel; without it, it is the serial kernel again (baseline parity).
+    // Dispatches to the row-parallel kernel on a pool ≥ 2 wide; at
+    // width 1 it is the serial kernel again (baseline parity).
     group.bench_function("dispatch", |bch| {
         bch.iter(|| black_box(gemm(black_box(&a), Transpose::No, &b, Transpose::No).expect("gemm")))
     });
 
-    #[cfg(feature = "parallel")]
     group.bench_function("parallel", |bch| {
         bch.iter(|| {
             black_box(
@@ -66,7 +65,6 @@ fn bench_conv_batch(c: &mut Criterion) {
         b.iter(|| black_box(conv2d_forward(black_box(&x), &w, &bias, &g).expect("conv")))
     });
 
-    #[cfg(feature = "parallel")]
     group.bench_function("parallel", |b| {
         b.iter(|| {
             black_box(

@@ -12,7 +12,7 @@
 //!
 //! Results are recorded in `BENCH_gemm.json` runs; regenerate with
 //! `CRITERION_SHIM_OUT=path cargo bench -p mfdfp-bench --bench
-//! pool_dispatch [--features parallel]`.
+//! pool_dispatch`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mfdfp_tensor::{gemm, Tensor, Transpose};

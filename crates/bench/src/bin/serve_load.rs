@@ -11,7 +11,7 @@
 //! requests, which is the effect this harness exists to measure.
 //!
 //! ```text
-//! cargo run -p mfdfp-bench --bin serve_load --release [--features "parallel obs"] \
+//! cargo run -p mfdfp-bench --bin serve_load --release [--features obs] \
 //!     [-- --http] [-- --open-loop <rps>] [-- --trace trace.json]
 //! ```
 //!
@@ -687,12 +687,7 @@ fn main() {
 
     if let Ok(path) = std::env::var("SERVE_BENCH_OUT") {
         let hist: Vec<String> = snap.batch_histogram.iter().map(u64::to_string).collect();
-        let features: &str = match (cfg!(feature = "parallel"), cfg!(feature = "obs")) {
-            (true, true) => "[\"parallel\",\"obs\"]",
-            (true, false) => "[\"parallel\"]",
-            (false, true) => "[\"obs\"]",
-            (false, false) => "[]",
-        };
+        let features = if cfg!(feature = "obs") { "[\"obs\"]" } else { "[]" };
         let json = format!(
             concat!(
                 "{{\"bench\":\"serve_load\",\"mode\":\"{}\",\"loop\":\"{}\",\"features\":{},",

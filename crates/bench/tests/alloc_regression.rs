@@ -23,10 +23,10 @@
 //!   send) and engaging the thread pool (O(threads) task boxes per
 //!   dispatch) allocate by design: those buffers leave the worker or
 //!   coordinate other threads. They are excluded by construction below
-//!   (single-image batches never engage the pool, and the models sit
+//!   (single-model batches never engage the pool, and the models sit
 //!   under the parallel kernel's work threshold), so the assertions hold
-//!   under both feature sets — CI runs this file with and without
-//!   `--features parallel`.
+//!   at every pool width — CI runs this file at the default width and
+//!   under `MFDFP_THREADS=4`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -35,7 +35,7 @@ use std::hint::black_box;
 use mfdfp_core::{calibrate, QuantizedNet};
 use mfdfp_nn::zoo;
 use mfdfp_serve::ServedModel;
-use mfdfp_tensor::{qgemm_into_i8, Tensor, TensorRng};
+use mfdfp_tensor::{qgemm_fused_into_i8, Tensor, TensorRng};
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -141,15 +141,16 @@ fn warm_qgemm_i8_kernel_is_allocation_free() {
     let bias = vec![0i64; 32];
     let mut out = vec![0i8; 32 * 32];
     // Warm-up: grows the thread's accumulator-lane scratch.
-    qgemm_into_i8(&w, 0, 32, &xt, 32, &bias, 13, 4, &mut out).unwrap();
+    qgemm_fused_into_i8(&w, 0, 32, &xt, 32, 1, &bias, 13, 4, &mut out).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
-            qgemm_into_i8(
+            qgemm_fused_into_i8(
                 black_box(&w),
                 0,
                 32,
                 black_box(&xt),
                 32,
+                1,
                 &bias,
                 13,
                 4,
@@ -158,7 +159,7 @@ fn warm_qgemm_i8_kernel_is_allocation_free() {
             .unwrap();
         }
     });
-    assert_eq!(allocs, 0, "warmed qgemm_into_i8 must not touch the heap");
+    assert_eq!(allocs, 0, "warmed qgemm_fused_into_i8 must not touch the heap");
 }
 
 #[test]
@@ -201,8 +202,8 @@ fn warm_logits_batch_into_is_allocation_free() {
 /// 12 800 MACs/image, 8 × 12 800 = 102 400 < 2¹⁷ — `quantized_net`'s
 /// 75-synapse conv1 is 76 800 MACs/image and would cross it at batch
 /// 2 and engage the pool). That keeps the whole batched forward on the
-/// calling thread under both feature sets, which is the regime the
-/// strict zero-allocation assertions cover.
+/// calling thread at every pool width, which is the regime the strict
+/// zero-allocation assertions cover.
 fn small_quantized_net(seed: u64) -> QuantizedNet {
     let mut rng = TensorRng::seed_from(seed);
     let mut net = zoo::quick_custom(1, 16, [2, 2, 4], 8, 4, &mut rng).unwrap();
@@ -236,10 +237,10 @@ fn batched_plan_serves_smaller_batches_without_reallocating() {
     // A workspace sized by `plan_for_batch(8)` — what a serving worker
     // builds for its coalescing limit — must absorb every batch size
     // 1..=8 with zero heap traffic once the thread lanes are warm.
-    // (On models big enough to cross MIN_MACS, a parallel build's fused
-    // dispatch engages the pool instead, whose per-dispatch task boxes
-    // allocate by design — the documented exception; this net stays
-    // serial in both feature sets so the strict assertion applies.)
+    // (On models big enough to cross MIN_MACS, the fused dispatch on a
+    // pool ≥ 2 wide engages the pool instead, whose per-dispatch task
+    // boxes allocate by design — the documented exception; this net
+    // stays serial at every width so the strict assertion applies.)
     let qnet = small_quantized_net(27);
     let per_image = 16 * 16; // one channel
     let mut rng = TensorRng::seed_from(27);

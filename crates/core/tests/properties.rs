@@ -178,8 +178,9 @@ proptest! {
     }
 
     /// Ragged-batch coverage for the batch-fused forward on the MLP:
-    /// every batch size 1..=9 must match the retained per-image oracle
-    /// loop code-for-code (the serving batcher produces exactly these
+    /// every batch size 1..=9 must match, code-for-code, both the same
+    /// fused path called once per image at batch 1 and the decode-based
+    /// reference oracle (the serving batcher produces exactly these
     /// ragged tails when traffic ebbs).
     #[test]
     fn fused_mlp_batch_matches_per_image_oracle(
@@ -194,19 +195,30 @@ proptest! {
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         let mut rng = TensorRng::seed_from(seed + 1);
         let batch = rng.gaussian([n, 4], 0.0, 0.5);
-        prop_assert_eq!(
-            q.forward_codes_batch(&batch).unwrap(),
-            q.forward_codes_batch_per_image(&batch).unwrap()
-        );
-        // The flat logits entries agree bit-for-bit too, and a plan
-        // sized for max_batch 9 serves every smaller batch warm.
+        let fused_codes = q.forward_codes_batch(&batch).unwrap();
+        for (s, codes) in fused_codes.iter().enumerate() {
+            let img = batch.index_axis0(s);
+            prop_assert_eq!(codes, &q.forward_codes(&img).unwrap(), "batch-1 call, image {}", s);
+            prop_assert_eq!(
+                codes,
+                &q.forward_codes_reference(&img).unwrap(),
+                "decode oracle, image {}",
+                s
+            );
+        }
+        // The flat logits entry agrees bit-for-bit with n calls of
+        // itself at batch 1, and a plan sized for max_batch 9 serves
+        // every smaller batch warm.
         let wplan = q.plan_for_batch(9);
         let mut ws = wplan.workspace();
-        let mut fused = vec![0.0f32; n * q.classes()];
-        let mut oracle = vec![0.0f32; n * q.classes()];
+        let classes = q.classes();
+        let mut fused = vec![0.0f32; n * classes];
+        let mut singles = vec![0.0f32; n * classes];
         q.logits_batch_into(batch.as_slice(), n, &mut ws, &mut fused).unwrap();
-        q.logits_batch_per_image_into(batch.as_slice(), n, &mut ws, &mut oracle).unwrap();
-        for (a, b) in fused.iter().zip(&oracle) {
+        for (img, row) in batch.as_slice().chunks(4).zip(singles.chunks_mut(classes)) {
+            q.logits_batch_into(img, 1, &mut ws, row).unwrap();
+        }
+        for (a, b) in fused.iter().zip(&singles) {
             prop_assert!(a.to_bits() == b.to_bits());
         }
         prop_assert!(ws.is_warm_for(&wplan));

@@ -10,8 +10,9 @@ use crate::error::{Result, ServeError};
 /// dynamic batchers in production serving stacks: a worker that pops a
 /// request keeps the batch open until it holds `max_batch` requests or
 /// `max_wait` has elapsed since the pop, whichever comes first. A batch
-/// dispatches through `logits_batch`, which (with the `parallel` feature)
-/// fans images out across the PR-1 threaded GEMM/conv path.
+/// dispatches through the batch-fused `logits_batch_into`, whose large
+/// layers fan output rows across the shared `mfdfp-rt` pool when its
+/// width (`MFDFP_THREADS`) is ≥ 2.
 ///
 /// The sharding knob splits the server into `shards` independent
 /// (queue + worker pool) units; requests route by a stable hash of the

@@ -51,6 +51,7 @@ use std::time::{Duration, Instant};
 
 use crate::config::HttpConfig;
 use crate::error::{Result, ServeError};
+use crate::metrics::json_escape;
 use crate::server::{Priority, Server, SubmitOptions};
 
 /// A fully parsed HTTP/1.1 request.
@@ -325,23 +326,6 @@ pub fn format_f32_array(values: &[f32]) -> String {
         out.push_str(&format!("{v:?}"));
     }
     out.push(']');
-    out
-}
-
-/// Minimal JSON string escaping for error messages.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 
@@ -868,5 +852,44 @@ mod tests {
         );
         assert_eq!(status_for(&ServeError::ShuttingDown).0, 503);
         assert_eq!(status_for(&ServeError::WorkerPanic).0, 500);
+    }
+
+    /// Inverse of JSON string escaping for the escapes RFC 8259 defines.
+    fn json_unescape(s: &str) -> String {
+        let mut out = String::new();
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next().expect("dangling backslash") {
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    let code = u32::from_str_radix(&hex, 16).expect("4 hex digits");
+                    out.push(char::from_u32(code).expect("scalar value"));
+                }
+                c => out.push(c), // \" \\ \/
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn error_body_escapes_round_trip() {
+        let message = "bad \"quote\", back\\slash,\nnewline\tand tab";
+        let body = Reply::error(400, message, false).body;
+        let inner = body
+            .strip_prefix("{\"error\":\"")
+            .and_then(|b| b.strip_suffix("\"}"))
+            .expect("error envelope");
+        // No raw control character or unescaped quote may survive inside
+        // the JSON string.
+        assert!(!inner.chars().any(|c| (c as u32) < 0x20));
+        assert!(!inner.replace("\\\\", "").replace("\\\"", "").contains('"'));
+        assert_eq!(json_unescape(inner), message);
     }
 }

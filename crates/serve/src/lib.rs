@@ -36,8 +36,9 @@
 //!    [`Server::swap_model`] hot swaps), and dispatch each group through
 //!    `QuantizedNet::logits_batch` / `Ensemble::logits_batch` under
 //!    `catch_unwind` (a panicking dispatch degrades to typed
-//!    [`ServeError::WorkerPanic`] responses; the worker survives). With
-//!    the `parallel` feature, each group is submitted as a task on the
+//!    [`ServeError::WorkerPanic`] responses; the worker survives). A
+//!    single-group batch runs inline on the worker; a batch of ≥ 2
+//!    groups on a pool of width ≥ 2 submits each group as a task on the
 //!    persistent `mfdfp-rt` pool — the same pool the GEMM/conv kernels
 //!    fan out on, so no code path ever spawns threads per call and the
 //!    compute footprint is bounded by

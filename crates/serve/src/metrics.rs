@@ -648,11 +648,11 @@ pub struct MetricsSnapshot {
     /// [`OpCostModel`] — the live shift-add-vs-multiply energy story.
     pub energy: OpEnergyEstimate,
     /// Width of the shared `mfdfp-rt` pool (workers + helping caller);
-    /// `0` until any hot path engages the pool — on a default
-    /// (non-`parallel`) build it stays 0 forever.
+    /// `0` until a hot path first consults the pool (work above the
+    /// dispatch threshold, or a multi-model batch).
     pub pool_threads: usize,
-    /// Pool tasks run since process start (row chunks, batch-forward
-    /// chunks, dispatched serve groups; counted at execution start, so
+    /// Pool tasks run since process start (row chunks, dispatched
+    /// serve groups of multi-model batches; counted at execution start, so
     /// an in-flight task is already included).
     pub pool_tasks_run: u64,
     /// Pool tasks executed by a thread other than their submitter.

@@ -189,19 +189,16 @@ impl Shard {
 /// expired requests, groups the rest per model, dispatches each group
 /// through the batched quantized forward, scatters responses.
 ///
-/// With the `parallel` feature, each per-model group is submitted to the
-/// shared `mfdfp-rt` pool as one task instead of running unconditionally
-/// on this worker thread: inference executes on the same persistent
-/// threads the GEMM/conv kernels fan out on (no per-call thread
-/// spawning anywhere in the dispatch), and multi-model batches run
-/// their groups concurrently. The scope owner helps execute its own
-/// tasks while it waits — a single-group batch typically runs on the
-/// submitting worker itself (an idle pool worker may win the claim
-/// first, at the cost of one hand-off), and a waiting serve worker is
-/// itself a compute lane: the process computes on at most
-/// `shards × workers + pool width − 1` threads (see README "Threading
-/// model" for sizing guidance). Without the feature, groups run inline
-/// and the pool is never engaged.
+/// A batch holding a single model group — the common case — runs inline
+/// on this worker thread, against its warmed [`WorkerScratch`]. Only a
+/// batch of ≥ 2 groups, on a pool of width ≥ 2, submits each group to the
+/// shared `mfdfp-rt` pool as one task ([`run_groups`]): inference then
+/// executes on the same persistent threads the GEMM/conv kernels fan out
+/// on (no per-call thread spawning anywhere in the dispatch), and the
+/// groups run concurrently. The scope owner helps execute its own tasks
+/// while it waits, so a waiting serve worker is itself a compute lane:
+/// the process computes on at most `shards × workers + pool width − 1`
+/// threads (see README "Threading model" for sizing guidance).
 fn worker_loop(inner: &ShardInner, metrics: &ServerMetrics, cfg: &ServeConfig, beat: &AtomicU64) {
     loop {
         // Heartbeat: published at the top of every iteration. The ticked
@@ -270,15 +267,18 @@ fn shed_expired(batch: Vec<Request>, metrics: &ServerMetrics) -> Vec<Request> {
     live
 }
 
-#[cfg(not(feature = "parallel"))]
+/// Dispatches one popped batch's per-model groups: inline on the calling
+/// worker unless there are ≥ 2 groups *and* the pool is ≥ 2 wide, in
+/// which case each group is one pool task. A single group never touches
+/// the pool, so it cannot be stolen onto a thread with a cold scratch
+/// (and a process serving one model never instantiates the pool here).
 fn run_groups(groups: Vec<Vec<Request>>, metrics: &ServerMetrics) {
-    for group in groups {
-        dispatch_group(group, metrics);
+    if groups.len() < 2 || mfdfp_rt::global().threads() < 2 {
+        for group in groups {
+            dispatch_group(group, metrics);
+        }
+        return;
     }
-}
-
-#[cfg(feature = "parallel")]
-fn run_groups(groups: Vec<Vec<Request>>, metrics: &ServerMetrics) {
     mfdfp_rt::global().scope(|scope| {
         for group in groups {
             scope.spawn(move || dispatch_group(group, metrics));
@@ -309,9 +309,9 @@ fn partition_by_model(batch: Vec<Request>) -> Vec<Vec<Request>> {
 /// output row-block (both grow-only) and the worker's own inference
 /// [`Workspace`]. Owning the workspace here — rather than borrowing the
 /// shared per-thread one — keeps that thread-level workspace free for
-/// image-chunk tasks the pool may hand back to this same thread under
-/// the `parallel` feature (the rt help-first protocol), so a warmed
-/// dispatch's inference performs zero heap allocations on every path;
+/// row-band tasks the pool may hand back to this same thread (the rt
+/// help-first protocol), so a warmed dispatch's inference performs zero
+/// heap allocations on every path;
 /// only the per-request response materialisation (one logits `Tensor`
 /// per ticket, the channel send) still allocates, because those buffers
 /// leave the worker with the response.
@@ -324,8 +324,8 @@ struct WorkerScratch {
 
 thread_local! {
     /// One staging scratch per worker thread — dispatch runs either on a
-    /// serving worker (serial build) or on a persistent pool thread
-    /// (`parallel` feature), and both live as long as the process.
+    /// serving worker or, for multi-group batches, on a persistent pool
+    /// thread, and both live as long as the process.
     static WORKER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
 }
 
@@ -488,5 +488,83 @@ fn fail_group(group: Vec<Request>, metrics: &ServerMetrics, err: ServeError) {
         request.metrics_model.record_failed();
         request.metrics_model.release_slot();
         let _ = request.tx.send(Err(err.clone()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ServedModel;
+    use mfdfp_core::{calibrate, QuantizedNet};
+    use mfdfp_nn::zoo;
+    use mfdfp_tensor::TensorRng;
+    use std::sync::mpsc;
+
+    fn tiny_model(seed: u64) -> ServedModel {
+        let mut rng = TensorRng::seed_from(seed);
+        let mut net = zoo::quick_custom(3, 16, [4, 4, 8], 16, 10, &mut rng).unwrap();
+        let x = rng.gaussian([4, 3, 16, 16], 0.0, 0.7);
+        let plan = calibrate(&mut net, &[(x, vec![0, 1, 2, 3])], 8).unwrap();
+        ServedModel::Single(Arc::new(QuantizedNet::from_network(&net, &plan).unwrap()))
+    }
+
+    fn request(
+        name: &str,
+        model: &ServedModel,
+        metrics: &ServerMetrics,
+    ) -> (Request, mpsc::Receiver<crate::Result<Response>>) {
+        let (tx, rx) = mpsc::channel();
+        let request = Request {
+            model_name: name.into(),
+            model: model.clone(),
+            version: 1,
+            metrics_model: metrics.model(name),
+            image: TensorRng::seed_from(7).gaussian([3, 16, 16], 0.0, 0.7),
+            submitted: Instant::now(),
+            submitted_ns: 0,
+            deadline: None,
+            breaker: None,
+            tx,
+        };
+        (request, rx)
+    }
+
+    fn scratch_len() -> usize {
+        WORKER_SCRATCH.with(|cell| cell.borrow().data.len())
+    }
+
+    #[test]
+    fn single_group_dispatches_inline_on_the_calling_thread() {
+        // Whatever the pool width, a one-model batch must run against
+        // *this* thread's scratch — never be boxed as a pool task that a
+        // pool thread with a cold scratch could steal.
+        let metrics = ServerMetrics::new(8);
+        let model = tiny_model(3);
+        std::thread::spawn(move || {
+            assert_eq!(scratch_len(), 0, "fresh thread starts cold");
+            let (req, rx) = request("solo", &model, &metrics);
+            run_groups(vec![vec![req]], &metrics);
+            assert!(rx.recv().unwrap().is_ok());
+            assert_eq!(scratch_len(), 3 * 16 * 16, "dispatch used the caller's scratch");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn multi_group_batch_answers_every_group() {
+        // Two model groups: pool tasks on a pool ≥ 2 wide, inline
+        // otherwise — every ticket is answered either way.
+        let metrics = ServerMetrics::new(8);
+        let (a, b) = (tiny_model(5), tiny_model(6));
+        let (ra, rxa) = request("a", &a, &metrics);
+        let (rb, rxb) = request("b", &b, &metrics);
+        let before = mfdfp_rt::global_stats().tasks_run;
+        run_groups(partition_by_model(vec![ra, rb]), &metrics);
+        assert!(rxa.recv().unwrap().is_ok());
+        assert!(rxb.recv().unwrap().is_ok());
+        if mfdfp_rt::global().threads() >= 2 {
+            assert!(mfdfp_rt::global_stats().tasks_run >= before + 2, "one pool task per group");
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! is bit-identical to one of the registered generations' direct logits
 //! — old weights or new weights, never a torn mix, never a third value —
 //! and the reported [`Response::version`] names exactly which. The same
-//! binary runs under both schedulers (CI runs it serially and with
-//! `MFDFP_THREADS=4` + the `parallel` feature), since the batcher's
+//! binary runs at every pool width (CI runs it at the default width and
+//! with `MFDFP_THREADS=4`), since the batcher's
 //! grouping, not any scheduler property, is what forbids torn batches.
 //!
 //! [`Response::version`]: mfdfp_serve::Response

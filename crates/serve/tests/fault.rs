@@ -4,9 +4,9 @@
 //! surviving workers — rather than hanging, poisoning a lock, or tearing
 //! a response.
 //!
-//! Runs only with `--features fault` (CI runs it on both the serial and
-//! `parallel` scheduler builds). The fault counters are process-global,
-//! so every test serialises on one mutex and re-arms from a clean slate.
+//! Runs only with `--features fault`. The fault counters are
+//! process-global, so every test serialises on one mutex and re-arms from
+//! a clean slate.
 
 #![cfg(feature = "fault")]
 

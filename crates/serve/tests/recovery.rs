@@ -8,9 +8,8 @@
 //! `completed + failed + shed + shutdown_rejected == submitted` stays
 //! exact through all of it.
 //!
-//! Runs only with `--features fault`; CI drives it on both the serial
-//! and `parallel` schedulers. Fault counters are process-global, so
-//! every test serialises on one mutex and re-arms from a clean slate.
+//! Runs only with `--features fault`. Fault counters are process-global,
+//! so every test serialises on one mutex and re-arms from a clean slate.
 
 #![cfg(feature = "fault")]
 

@@ -375,38 +375,46 @@ fn ensemble_and_multi_model_serving() {
 }
 
 /// The metrics snapshot must surface the shared `mfdfp-rt` pool in a
-/// schema-stable way: fields always present; on a `parallel` build the
-/// dispatch path engages the pool (tasks counted, width ≥ 1), on a
-/// default build the pool is never instantiated (width 0, counters 0).
+/// schema-stable way, and report its engagement truthfully: a two-model
+/// batch fans its groups out as pool tasks when the pool is ≥ 2 wide
+/// (`MFDFP_THREADS`, default = detected cores); a width-1 pool is never
+/// engaged at all.
 #[test]
 fn snapshot_surfaces_pool_stats() {
-    let q = tiny_qnet(55);
     let registry = Arc::new(ModelRegistry::new());
-    registry.register("tiny", q);
+    registry.register("a", tiny_qnet(55));
+    registry.register("b", tiny_qnet(56));
+    // One worker, a batch of exactly two and a linger far longer than the
+    // test: the worker dispatches the moment it holds one request of each
+    // model, i.e. one batch with two model groups.
     let server = Server::start(
         Arc::clone(&registry),
-        ServeConfig { workers: 1, queue_capacity: 16, ..Default::default() },
+        ServeConfig {
+            workers: 1,
+            queue_capacity: 16,
+            max_batch: 2,
+            max_wait: Duration::from_secs(30),
+            ..Default::default()
+        },
     )
     .unwrap();
-    for img in images(4, 9) {
-        server.submit("tiny", img).unwrap().wait().unwrap();
-    }
+    let imgs = images(2, 9);
+    let ta = server.submit("a", imgs[0].clone()).unwrap();
+    let tb = server.submit("b", imgs[1].clone()).unwrap();
+    ta.wait().unwrap();
+    tb.wait().unwrap();
+    let width = mfdfp_rt::global().threads();
     let snap = server.metrics();
     let json = snap.to_json();
     assert!(json.contains("\"pool\":{\"threads\":"), "pool object missing in {json}");
-
-    #[cfg(feature = "parallel")]
-    {
-        // Each dispatched group is one pool task, so 4 single-request
-        // batches must have moved the counter (other suites in this
-        // process may have moved it further; >= is the invariant).
-        assert!(snap.pool_threads >= 1, "parallel dispatch must engage the pool");
-        assert!(snap.pool_tasks_run >= 4, "groups must run as pool tasks");
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        assert_eq!(snap.pool_threads, 0, "default build must never engage the pool");
-        assert_eq!(snap.pool_tasks_run, 0);
+    assert_eq!(snap.pool_threads, width);
+    assert!(snap.pool_steals <= snap.pool_tasks_run);
+    if width >= 2 {
+        // Other suites in this process may have moved the counter
+        // further; >= is the invariant.
+        assert!(snap.pool_tasks_run >= 2, "each model group must run as a pool task");
+    } else {
+        assert_eq!(snap.pool_tasks_run, 0, "a width-1 pool must never be engaged");
     }
     server.shutdown();
 }

@@ -40,7 +40,6 @@ pub mod arena;
 mod error;
 mod init;
 pub mod ops;
-#[cfg(feature = "parallel")]
 pub mod par;
 mod shape;
 mod tensor;
@@ -49,21 +48,13 @@ pub mod workspace;
 pub use arena::{AlignedArena, AlignedBytes, AlignedVec};
 pub use error::{Result, TensorError};
 pub use init::TensorRng;
-#[cfg(feature = "parallel")]
-pub use ops::conv::conv2d_forward_parallel;
 pub use ops::conv::{
-    col2im, conv2d_backward, conv2d_forward, conv2d_forward_serial, im2col, im2col_batched_i8,
-    ConvGeometry,
+    col2im, conv2d_backward, conv2d_forward, conv2d_forward_parallel, conv2d_forward_serial,
+    im2col, im2col_batched_i8, ConvGeometry,
 };
-#[cfg(feature = "parallel")]
-pub use ops::matmul::gemm_parallel;
-pub use ops::matmul::{gemm, gemm_serial, matvec, Transpose};
+pub use ops::matmul::{gemm, gemm_parallel, gemm_serial, matvec, Transpose};
 pub use ops::pool::{pool_backward, pool_forward, PoolGeometry, PoolKind};
-#[cfg(feature = "parallel")]
-pub use ops::qgemm::qgemm_parallel;
-pub use ops::qgemm::{
-    qgemm, qgemm_fused_into_i8, qgemm_i8, qgemm_into, qgemm_into_i8, qgemm_serial,
-};
+pub use ops::qgemm::qgemm_fused_into_i8;
 pub use ops::reduce::{
     argmax_rows, log_softmax, softmax, softmax_with_temperature, sum_axis0, topk_rows,
 };

@@ -397,10 +397,12 @@ where
 ///
 /// Returns `N×OutC×OH×OW`.
 ///
-/// With the `parallel` cargo feature enabled, large batches are split
-/// across OS threads (one contiguous sample range per worker) and large
-/// single images fall through to the row-parallel [`gemm`]; either way the
-/// output is bit-identical to [`conv2d_forward_serial`].
+/// Large batches (at least two samples, the shared `par` work threshold,
+/// and a pool of width ≥ 2 — checked in that order, so small batches never
+/// instantiate the pool) are split across the persistent pool's threads
+/// (one contiguous sample range per worker) and large single images fall
+/// through to the row-parallel [`gemm`]; either way the output is
+/// bit-identical to [`conv2d_forward_serial`].
 ///
 /// # Errors
 ///
@@ -411,12 +413,9 @@ pub fn conv2d_forward(
     bias: &Tensor,
     g: &ConvGeometry,
 ) -> Result<Tensor> {
-    #[cfg(feature = "parallel")]
-    {
-        let n = input.shape().dim(0);
-        if n >= 2 && n * g.macs() >= crate::par::MIN_MACS && crate::par::threads() >= 2 {
-            return conv2d_forward_parallel(input, weights, bias, g);
-        }
+    let n = input.shape().dim(0);
+    if crate::par::should_fan_out(n, n * g.macs()) {
+        return conv2d_forward_parallel(input, weights, bias, g);
     }
     // Small batch: serial sample loop, but let the (possibly row-parallel)
     // dispatching `gemm` accelerate large single images.
@@ -472,7 +471,6 @@ pub fn conv2d_forward_serial(
 /// # Errors
 ///
 /// Returns a shape error if any operand disagrees with the geometry.
-#[cfg(feature = "parallel")]
 pub fn conv2d_forward_parallel(
     input: &Tensor,
     weights: &Tensor,

@@ -1,8 +1,8 @@
 //! Dense matrix multiplication (GEMM) with optional operand transposes.
 //!
 //! All entry points funnel into one row-range kernel (`gemm_rows`): the
-//! serial path runs it once over every row, the `parallel` feature splits
-//! the output rows across the persistent `mfdfp-rt` pool. Because each output
+//! serial path runs it once over every row, the parallel path splits the
+//! output rows across the persistent `mfdfp-rt` pool. Because each output
 //! element is accumulated in the same (ascending-`p`) order regardless of
 //! how rows are partitioned, the parallel path is **bit-identical** to the
 //! serial one — determinism is a property of the kernel, not the schedule.
@@ -156,10 +156,11 @@ fn gemm_check(
 /// `a` must be rank-2 of logical shape `m×k` after applying `ta`, and `b`
 /// rank-2 of logical shape `k×n` after applying `tb`. The result is `m×n`.
 ///
-/// With the `parallel` cargo feature enabled, large products are split by
-/// output row across the persistent pool's threads; the result is bit-identical to
-/// [`gemm_serial`] (see the module docs). Without the feature this *is*
-/// the serial kernel.
+/// Large products (at least two output rows, the shared `par` work
+/// threshold, and a pool of width ≥ 2 — checked in that order, so small
+/// products never instantiate the pool) are split by output row across
+/// the persistent pool's threads; the result is bit-identical to
+/// [`gemm_serial`] (see the module docs).
 ///
 /// # Errors
 ///
@@ -178,12 +179,9 @@ fn gemm_check(
 /// # Ok::<(), mfdfp_tensor::TensorError>(())
 /// ```
 pub fn gemm(a: &Tensor, ta: Transpose, b: &Tensor, tb: Transpose) -> Result<Tensor> {
-    #[cfg(feature = "parallel")]
-    {
-        let (m, n, k) = gemm_check(a, ta, b, tb)?;
-        if m >= 2 && m * n * k >= crate::par::MIN_MACS && crate::par::threads() >= 2 {
-            return gemm_parallel(a, ta, b, tb);
-        }
+    let (m, n, k) = gemm_check(a, ta, b, tb)?;
+    if crate::par::should_fan_out(m, m * n * k) {
+        return gemm_parallel(a, ta, b, tb);
     }
     gemm_serial(a, ta, b, tb)
 }
@@ -213,7 +211,6 @@ pub fn gemm_serial(a: &Tensor, ta: Transpose, b: &Tensor, tb: Transpose) -> Resu
 ///
 /// Returns [`TensorError::ShapeMismatch`] under the same conditions as
 /// [`gemm`].
-#[cfg(feature = "parallel")]
 pub fn gemm_parallel(a: &Tensor, ta: Transpose, b: &Tensor, tb: Transpose) -> Result<Tensor> {
     let (m, n, k) = gemm_check(a, ta, b, tb)?;
     let mut out = vec![0.0f32; m * n];
@@ -362,7 +359,6 @@ mod tests {
         assert!(matvec(&a, &bad).is_err());
     }
 
-    #[cfg(feature = "parallel")]
     mod parallel {
         use super::*;
 

@@ -1,4 +1,4 @@
-//! Pool-backed fan-out helpers behind the `parallel` cargo feature.
+//! Pool-backed fan-out helpers for the row-parallel kernels.
 //!
 //! The build environment has no crates.io access, so instead of `rayon`
 //! this module provides the two primitives the hot path needs — a worker
@@ -24,7 +24,15 @@
 /// only pays an enqueue + wake (~1–2 µs), so products down to ~128 k
 /// MACs can repay fan-out. Shared by the GEMM, packed-qGEMM and
 /// convolution dispatch so the hot paths stay consistent.
-pub(crate) const MIN_MACS: usize = 1 << 17;
+const MIN_MACS: usize = 1 << 17;
+
+/// The one serial-vs-pool decision every dispatcher (GEMM, packed qGEMM,
+/// batched convolution) makes: fan `rows` independent rows totalling
+/// `macs` multiply-accumulates out across the pool? The conditions are
+/// ordered so a small product never instantiates the pool.
+pub(crate) fn should_fan_out(rows: usize, macs: usize) -> bool {
+    rows >= 2 && macs >= MIN_MACS && threads() >= 2
+}
 
 /// Number of worker lanes to fan out to: the width of the shared
 /// [`mfdfp_rt`] pool (`MFDFP_THREADS` overrides the detected core

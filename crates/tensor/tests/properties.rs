@@ -174,13 +174,35 @@ proptest! {
 /// The batch-fused conv path must never change a single output bit: the
 /// fused column matrix is a pure re-layout (batch interleaved innermost)
 /// and the kernel's per-output accumulation order does not depend on the
-/// column count. These run in both feature sets — under `parallel` the
-/// fused product frequently crosses the row-band dispatch threshold, so
-/// the same cases also pin serial == parallel on the fused path.
+/// column count. Three-way: a fused batch of `n` == `n` calls of the same
+/// entry at batch 1 (de-interleaved) == a scalar decode oracle per image.
 mod fused_batch_equivalence {
-    use mfdfp_dfp::{PackedPow2Matrix, Pow2Weight};
-    use mfdfp_tensor::{im2col_batched_i8, qgemm_fused_into_i8, qgemm_into_i8, ConvGeometry};
+    use mfdfp_dfp::{realign, saturate, PackedPow2Matrix, Pow2Weight};
+    use mfdfp_tensor::{im2col_batched_i8, qgemm_fused_into_i8, ConvGeometry};
     use proptest::prelude::*;
+
+    /// Scalar decode oracle for one image's `k × ncols` column matrix:
+    /// per-element `Pow2Weight::mul_shift`, i64 accumulate, bias, route.
+    fn decode_oracle(
+        w: &PackedPow2Matrix,
+        xt: &[i8],
+        ncols: usize,
+        bias: &[i64],
+        acc_frac: i32,
+        out_frac: i32,
+    ) -> Vec<i8> {
+        let mut out = Vec::with_capacity(w.rows() * ncols);
+        for (r, &b) in bias.iter().enumerate() {
+            for j in 0..ncols {
+                let acc = (0..w.cols())
+                    .map(|c| w.get(r, c).mul_shift(xt[c * ncols + j] as i32) as i64)
+                    .sum::<i64>()
+                    + b;
+                out.push(saturate(realign(acc, acc_frac, out_frac), 8) as i8);
+            }
+        }
+        out
+    }
 
     fn codes_matrix(rows: usize, cols: usize, seed: u64) -> PackedPow2Matrix {
         let mut state = seed | 1;
@@ -295,10 +317,9 @@ mod fused_batch_equivalence {
         }
 
         /// One fused kernel call over `B` interleaved column matrices is
-        /// bit-identical to `B` per-image calls, across random weight
-        /// shapes, radix positions, and batch sizes 1..=9. Under the
-        /// `parallel` feature larger cases cross the row-band dispatch
-        /// threshold, covering the fused-parallel schedule too.
+        /// bit-identical to `B` calls at batch 1 and to the scalar decode
+        /// oracle, across random weight shapes, radix positions, and
+        /// batch sizes 1..=9.
         #[test]
         fn fused_qgemm_bit_identical_to_per_image(
             rows in 1usize..9,
@@ -324,8 +345,15 @@ mod fused_batch_equivalence {
             .unwrap();
             for (b, img) in images.iter().enumerate() {
                 let mut per = vec![0i8; rows * ncols_pi];
-                qgemm_into_i8(&w, 0, rows, img, ncols_pi, &bias, acc_frac, out_frac, &mut per)
-                    .unwrap();
+                qgemm_fused_into_i8(
+                    &w, 0, rows, img, ncols_pi, 1, &bias, acc_frac, out_frac, &mut per,
+                )
+                .unwrap();
+                prop_assert_eq!(
+                    &per,
+                    &decode_oracle(&w, img, ncols_pi, &bias, acc_frac, out_frac),
+                    "b={} vs decode oracle", b
+                );
                 for (e, &want) in per.iter().enumerate() {
                     prop_assert_eq!(
                         fused_out[e * batch + b], want,
@@ -337,9 +365,8 @@ mod fused_batch_equivalence {
     }
 }
 
-/// The `parallel` feature must never change a single output bit: threads
-/// only reschedule work, the kernels fix the accumulation order.
-#[cfg(feature = "parallel")]
+/// The pool must never change a single output bit: threads only
+/// reschedule work, the kernels fix the accumulation order.
 mod parallel_equivalence {
     use mfdfp_tensor::{
         conv2d_forward, conv2d_forward_parallel, conv2d_forward_serial, gemm, gemm_parallel,
