@@ -79,8 +79,8 @@ fn bench_qgemm_256(c: &mut Criterion) {
 
     // The hot path: nibbles in, codes out, no decode anywhere — `i8`
     // activation codes (structural operand bound, no audit scan), output
-    // into a warm caller buffer, accumulator lanes in thread scratch.
-    // Zero allocations inside the timed body.
+    // into a warm caller buffer, buckets and accumulator lanes on the
+    // stack. Zero allocations inside the timed body.
     let mut out8 = vec![0i8; n * n];
     group.bench_function("packed_shift_only_i8_warm", |b| {
         b.iter(|| {
@@ -120,6 +120,51 @@ fn bench_qgemm_256(c: &mut Criterion) {
         })
     });
 
+    group.finish();
+}
+
+/// The packed kernel on the four `cifar10_quick` layer products
+/// (`rows × k × ncols_per_image`) at batch 1 and 8, in GMAC/s per shape:
+/// conv1–3 take the kernel's 64-column slabs, `ip1` (one column per
+/// image) its 16-column slab at both batch sizes.
+fn bench_qgemm_layers(c: &mut Criterion) {
+    let mut next = xorshift(7);
+    let mut group = c.benchmark_group("qgemm_layers");
+    for (name, rows, k, ncols_pi) in [
+        ("conv1", 32usize, 75usize, 1024usize),
+        ("conv2", 32, 800, 256),
+        ("conv3", 64, 800, 64),
+        ("ip1", 64, 1024, 1),
+    ] {
+        let codes: Vec<Pow2Weight> =
+            (0..rows * k).map(|_| Pow2Weight::decode4((next() % 16) as u8).unwrap()).collect();
+        let w = PackedPow2Matrix::from_weights(rows, k, &codes).expect("packed weights");
+        let bias = vec![0i64; rows];
+        for batch in [1usize, 8] {
+            let ncols = ncols_pi * batch;
+            let xt: Vec<i8> = (0..k * ncols).map(|_| (next() % 256) as u8 as i8).collect();
+            let mut out = vec![0i8; rows * ncols];
+            group.throughput(Throughput::Elements((rows * k * ncols) as u64));
+            group.bench_function(&format!("{name}_b{batch}"), |b| {
+                b.iter(|| {
+                    qgemm_fused_into_i8(
+                        black_box(&w),
+                        0,
+                        rows,
+                        black_box(&xt),
+                        ncols_pi,
+                        batch,
+                        &bias,
+                        7 + 7,
+                        4,
+                        &mut out,
+                    )
+                    .expect("qgemm");
+                    black_box(&mut out);
+                })
+            });
+        }
+    }
     group.finish();
 }
 
@@ -183,5 +228,11 @@ fn bench_batched_forward(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qgemm_256, bench_qnet_forward, bench_batched_forward);
+criterion_group!(
+    benches,
+    bench_qgemm_256,
+    bench_qgemm_layers,
+    bench_qnet_forward,
+    bench_batched_forward
+);
 criterion_main!(benches);

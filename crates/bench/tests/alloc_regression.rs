@@ -140,7 +140,10 @@ fn warm_qgemm_i8_kernel_is_allocation_free() {
     let xt: Vec<i8> = (0..32 * 32).map(|i| (i % 251) as i8).collect();
     let bias = vec![0i64; 32];
     let mut out = vec![0i8; 32 * 32];
-    // Warm-up: grows the thread's accumulator-lane scratch.
+    // The kernel itself has nothing to warm (its buckets and accumulator
+    // lanes are stack arrays); the first call only takes one-time state
+    // out of the measured loop — with `obs` on, a thread's first span
+    // creates its ring.
     qgemm_fused_into_i8(&w, 0, 32, &xt, 32, 1, &bias, 13, 4, &mut out).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
@@ -167,9 +170,9 @@ fn warm_forward_codes_with_is_allocation_free() {
     let (qnet, batch) = quantized_net(21);
     let img = batch.index_axis0(0);
     let mut ws = qnet.plan().workspace();
-    // One warm-up pass grows the per-thread accumulator lanes (the one
-    // buffer a per-model plan cannot pre-size: it belongs to the thread,
-    // not the model).
+    // The planned workspace is already at its peaks; the warm-up pass
+    // only takes one-time state (with `obs` on, the thread's span ring)
+    // out of the measured loop.
     qnet.forward_codes_with(&img, &mut ws).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
@@ -391,9 +394,9 @@ fn warm_spans_and_counters_allocate_nothing() {
 #[test]
 fn planned_workspace_first_pass_allocates_only_thread_lanes() {
     // The plan() claim: with a pre-sized workspace, the only first-pass
-    // allocations left are the thread-resident accumulator lanes (and
-    // they are not per-model state). A generous bound keeps this robust
-    // while still catching any per-layer allocation creeping back in:
+    // allocations left are thread-resident, not per-model (the result
+    // vec; with `obs` on, the span ring). A generous bound keeps this
+    // robust while still catching any per-layer allocation creeping back in:
     // the seed net runs 3 convs + 2 linears + pools, so a regression to
     // per-call buffers would cost dozens of allocations.
     let (qnet, batch) = quantized_net(24);
@@ -403,6 +406,6 @@ fn planned_workspace_first_pass_allocates_only_thread_lanes() {
         allocations(|| qnet.forward_codes_with(&img, &mut ws).map(<[i8]>::to_vec).unwrap());
     assert!(
         allocs <= 6,
-        "planned first pass should allocate at most the thread lanes + result vec, saw {allocs}"
+        "planned first pass should allocate at most thread-resident state + result vec, saw {allocs}"
     );
 }

@@ -7,7 +7,7 @@
 //!   cell — `std::alloc::Layout`-allocated bytes whose base pointer is
 //!   always 64-byte aligned, with validated typed views.
 //! * [`AlignedVec`] is `Vec<T>` with that alignment guarantee: the
-//!   [`Workspace`](crate::Workspace) activation/im2col/accumulator lanes
+//!   [`Workspace`](crate::Workspace) activation/im2col/logit lanes
 //!   are built on it, so every kernel scratch pointer is cache-line (and
 //!   AVX-512 lane) aligned by construction rather than by allocator luck.
 //! * [`AlignedArena`] is an append-only byte builder with explicit

@@ -210,17 +210,20 @@ pub fn im2col(input: &Tensor, g: &ConvGeometry) -> Result<Tensor> {
 /// column matrix. With `batch = 1` this degenerates to the per-image
 /// im2col layout exactly.
 ///
-/// The interleave also pays in the gather itself: each (synapse, pixel)
-/// source decides the padding test **once** and then moves `batch`
-/// contiguous bytes, so bounds logic is amortized across the batch.
+/// The interleave also pays in the gather itself: at unit stride the
+/// in-bounds pixels of one output row are one contiguous source run, so
+/// each (synapse, output row) is two zero fills and one copy of
+/// `run · batch` bytes; at larger strides each (synapse, pixel) source
+/// decides the padding test once and moves `batch` contiguous bytes.
 ///
 /// `grp` selects one channel group of a grouped convolution (`0` for the
 /// dense case); `xt` must hold exactly one group's column matrix.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::BadGeometry`] for a zero batch or an
-/// out-of-range group, [`TensorError::DataLength`] if `input` is not
+/// Returns [`TensorError::BadGeometry`] for a zero batch, an
+/// out-of-range group or a buffer extent that overflows `usize`,
+/// [`TensorError::DataLength`] if `input` is not
 /// `batch` interleaved images or `xt` is not the group's
 /// `col_height × npix × batch` column buffer.
 pub fn im2col_batched_i8(
@@ -239,61 +242,72 @@ pub fn im2col_batched_i8(
             g.groups
         )));
     }
-    let expect_in = g.in_c * g.in_h * g.in_w * batch;
+    // Every extent below sizes or indexes a caller's buffer, so none may
+    // wrap: a wrapped product could match an empty or short buffer.
+    let extent = |dims: &[usize]| {
+        dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)).ok_or_else(|| {
+            TensorError::BadGeometry(format!("im2col extent {dims:?} overflows usize"))
+        })
+    };
+    let expect_in = extent(&[g.in_c, g.in_h, g.in_w, batch])?;
     if input.len() != expect_in {
         return Err(TensorError::DataLength { expected: expect_in, actual: input.len() });
     }
     let (oh, ow) = (g.out_h(), g.out_w());
-    let npix = oh * ow;
+    let npix = extent(&[oh, ow])?;
     let group_in = g.in_c / g.groups;
-    let syn = group_in * g.kernel * g.kernel;
-    let expect_out = syn * npix * batch;
+    let syn = extent(&[group_in, g.kernel, g.kernel])?;
+    let expect_out = extent(&[syn, npix, batch])?;
     if xt.len() != expect_out {
         return Err(TensorError::DataLength { expected: expect_out, actual: xt.len() });
     }
     let c_lo = grp * group_in;
     let k = g.kernel;
+    let in_row = g.in_w * batch;
     let mut si = 0usize;
     for c in c_lo..c_lo + group_in {
         for ky in 0..k {
             for kx in 0..k {
                 let row = &mut xt[si * npix * batch..(si + 1) * npix * batch];
-                let mut pix = 0usize;
-                for oy in 0..oh {
+                // At unit stride output pixels `[lo, hi)` of a row read
+                // source pixels `[lo + kx − pad, hi + kx − pad)`: one
+                // contiguous run; the rest of the row is padding.
+                let lo = g.pad.saturating_sub(kx).min(ow);
+                let hi = (g.in_w + g.pad).saturating_sub(kx).min(ow).max(lo);
+                for (oy, orow) in row.chunks_exact_mut(ow * batch).enumerate() {
                     let iy = (oy * g.stride + ky) as isize - g.pad as isize;
                     if iy < 0 || iy >= g.in_h as isize {
-                        // A padded source row zeroes `ow` whole pixel
-                        // groups in one pass.
-                        row[pix * batch..(pix + ow) * batch].fill(0);
-                        pix += ow;
+                        orow.fill(0);
                         continue;
                     }
-                    let iy = iy as usize;
+                    let src = &input[(c * g.in_h + iy as usize) * in_row..][..in_row];
+                    if g.stride == 1 {
+                        orow[..lo * batch].fill(0);
+                        orow[hi * batch..].fill(0);
+                        if lo < hi {
+                            let shift = lo + kx - g.pad;
+                            orow[lo * batch..hi * batch]
+                                .copy_from_slice(&src[shift * batch..(shift + hi - lo) * batch]);
+                        }
+                        continue;
+                    }
                     if batch == 1 {
                         // Degenerate per-image layout: direct element
                         // stores — a variable-length 1-byte memcpy per
                         // pixel costs more than the move itself.
-                        for ox in 0..ow {
+                        for (ox, o) in orow.iter_mut().enumerate() {
                             let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                            row[pix] = if ix < 0 || ix >= g.in_w as isize {
-                                0
-                            } else {
-                                input[(c * g.in_h + iy) * g.in_w + ix as usize]
-                            };
-                            pix += 1;
+                            *o = if ix < 0 || ix >= g.in_w as isize { 0 } else { src[ix as usize] };
                         }
                         continue;
                     }
-                    for ox in 0..ow {
+                    for (ox, dst) in orow.chunks_exact_mut(batch).enumerate() {
                         let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                        let dst = &mut row[pix * batch..(pix + 1) * batch];
                         if ix < 0 || ix >= g.in_w as isize {
                             dst.fill(0);
                         } else {
-                            let src = ((c * g.in_h + iy) * g.in_w + ix as usize) * batch;
-                            dst.copy_from_slice(&input[src..src + batch]);
+                            dst.copy_from_slice(&src[ix as usize * batch..][..batch]);
                         }
-                        pix += 1;
                     }
                 }
                 si += 1;
@@ -711,6 +725,18 @@ mod tests {
         assert_eq!(&cols.as_slice()[0..4], &[1.0, 2.0, 4.0, 5.0]);
         // Last row: bottom-right tap.
         assert_eq!(&cols.as_slice()[12..16], &[5.0, 6.0, 8.0, 9.0]);
+    }
+
+    #[test]
+    fn batched_im2col_rejects_overflowing_extents() {
+        // in_h · in_w = 2^64 wraps to 0 in release arithmetic, which
+        // matched the empty buffers and returned Ok.
+        let side = 1usize << (usize::BITS / 2);
+        let g = ConvGeometry::new(1, side, side, 1, 1, 1, 0).unwrap();
+        assert!(matches!(
+            im2col_batched_i8(&[], &g, 0, 1, &mut []),
+            Err(TensorError::BadGeometry(_))
+        ));
     }
 
     #[test]

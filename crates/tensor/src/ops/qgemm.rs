@@ -1,48 +1,76 @@
 //! Shift-only GEMM over packed 4-bit power-of-two weight codes — the
 //! paper's signature operation, specialised for its encoding.
 //!
-//! The decode-based datapath model (`mac_reduce` in `mfdfp-accel`) unpacks
-//! every nibble to a `Pow2Weight` and dispatches a per-element
-//! [`mul_shift`](mfdfp_dfp::Pow2Weight::mul_shift); correct, but the
-//! hottest loop in the system pays decode and branch cost on every
-//! synapse. This kernel instead streams the packed bytes of a
-//! [`PackedPow2Matrix`] and resolves each nibble code `c` through two
-//! 16-entry tables — **no branch and no multiply anywhere in the loop**:
+//! A 4-bit code has only 8 exponents × 2 signs, and a left shift
+//! distributes over integer addition, so a dot product against such
+//! weights regroups by code:
 //!
-//! * `SHIFT[c]` — the left-shift amount `e + 7 ∈ [0, 7]` (bits 2..0 of
-//!   the code store `−e`),
-//! * `SIGN_MASK[c]` — an all-ones/all-zero mask (bit 3 of the code stores
-//!   the sign); the product is `((x << SHIFT[c]) ^ m) − m`, the classic
-//!   branch-free negate-by-mask, splitting each contribution onto the
-//!   positive or negative side of the accumulation.
+//! ```text
+//! Σ_c ±(x_c << s_c)  =  Σ_{s=0..7} ((Σ_{c: +,s} x_c − Σ_{c: −,s} x_c) << s)
+//! ```
 //!
-//! The loop nest is arranged so the table lookups happen **once per
-//! weight nibble, not once per MAC**: activations arrive in the standard
-//! im2col layout (`k × ncols`, one synapse's values across all output
-//! columns contiguous), the nibble's shift amount and sign mask hoist out
-//! of the column loop, and what remains per MAC is `shift, xor, sub, add`
-//! with a loop-invariant shift count — a shape LLVM auto-vectorizes.
-//! Partial sums accumulate in 32-bit lanes (products fit 16 bits, so
-//! 2^14-synapse chunks cannot overflow) and flush to the 64-bit
-//! accumulator per chunk; the row result plus bias is routed to the 8-bit
-//! output exactly like the hardware's "Accumulator & Routing" block.
-//! Because the products are the same integers the decode path computes
-//! and integer addition is associative, the result is **bit-identical**
-//! to the decode-based reference for every input (property-tested in
-//! `crates/accel/tests/qgemm_equivalence.rs`).
+//! One **add** per synapse and eight shifts per *output*, instead of a
+//! shift per synapse. The kernel is built on that identity ("add first,
+//! shift once"): for a slab of `NR` output columns and a block of
+//! `MR = 8` output rows it keeps one bucket per (row, code) — 16 codes ×
+//! `NR` `i16` lanes per row — and for every synapse widens one slab row
+//! of activations to `i16` once, reads the synapse's nibble for each of
+//! the eight rows, and adds the slab row into that row's bucket. There is
+//! no shift, sign handling or widening to 32 bits anywhere in that loop,
+//! and **no multiply anywhere in the kernel** (add, sub, shift, xor and
+//! compare only). After at most 255 synapses the buckets fold
+//! Horner-style into `i32` lanes, `t = (t << 1) + (bucket[+,s] −
+//! bucket[−,s])` for `s = 7..0`; `i32` lanes flush to `i64` every 2^14
+//! synapses; the row result plus bias is routed to the 8-bit output
+//! exactly like the hardware's "Accumulator & Routing" block.
+//!
+//! **Nothing can overflow.** Every synapse of an output lands in exactly
+//! one of that output's 16 buckets, so after 255 synapses of `|x| ≤ 128`
+//! one bucket, and likewise a `+`/`−` bucket difference, is at most
+//! `255 · 128 = 32 640 < 2^15`; the Horner sum of one run is at most
+//! `32 640 · 2^7 < 2^22`; a 2^14-synapse chunk of products `≤ 2^14`
+//! reaches at most `2^28`. The sums are the same integers the decode
+//! path adds, and integer addition is associative and commutative, so
+//! the result is **bit-identical** to the decode-based reference
+//! (`mac_reduce` in `mfdfp-accel`) for every input — property-tested in
+//! `crates/tensor/tests/qgemm_properties.rs` and
+//! `crates/accel/tests/qgemm_equivalence.rs`.
+//!
+//! **Constants, not tunables.** `MR = 8` amortises the widening to 1/8
+//! per MAC and makes the bucket file `8 · 16 · 64 · 2 B = 16 KiB`, half
+//! an L1d. `NR = 64` is one cache line of activation codes per synapse;
+//! `NR = 16` is one 16-lane `i16` vector, taken when the whole product is
+//! at most 16 columns wide (every `ShiftLinear` up to batch 16) so a
+//! one-column product does not pay for 64 lanes. The selection reads
+//! `ncols` and nothing else. Runs are 255 long because 256 · 128 = 2^15
+//! is the first length that can wrap an `i16`.
+//!
+//! **Ceiling.** Per 16-lane vector per output row the scatter loop
+//! issues one load, one add and one store (the load folds into the add),
+//! plus 1/`MR` of a widening load and, per 255 synapses, the fold: about
+//! 5 MACs per µop, ≈ 20 MAC/cycle/core on a 4-wide core, store-port bound
+//! at 16. Measured on the benchmark host (`perfbench`, one thread,
+//! batch 8, AVX2 body): `tensor.qgemm.{conv1,conv2,conv3,ip1}
+//! .gmacs_per_s_b8` ≈ 11 / 17 / 18 / 4 GMAC/s at 2.1 GHz (4.3 / 8.3 /
+//! 8.2 / 1.6 before this kernel), i.e. 5–9 MAC/cycle on the conv layers,
+//! a quarter to a half of the ceiling. conv1 (`k = 75`) pays one
+//! zero-and-fold of the bucket file per 75 synapses; `ip1` runs one
+//! vector per row, so the scalar nibble read dominates.
 //!
 //! Like the hardware, the kernel has one activation width and one entry
-//! ([`qgemm_fused_into_i8`]): activations are raw 8-bit codes, widened in
-//! register, so the operand bound that keeps every shifted product inside
-//! the 16-bit product register is *structural* — a property of the type,
-//! not a per-call scan. The kernel's accumulator lanes live in per-thread
-//! scratch (`with_acc_lanes` in the [`crate::workspace`] module), so a
-//! warmed thread — e.g. a persistent `mfdfp-rt` pool worker — runs the
-//! kernel with zero heap allocations.
+//! ([`qgemm_fused_into_i8`]): activations are raw 8-bit codes, so the
+//! operand bound behind the overflow argument above is *structural* — a
+//! property of the type, not a per-call scan. All scratch is fixed-size
+//! arrays on the stack (≈ 22 KiB at `NR = 64`), so the kernel never
+//! touches the heap.
 //!
 //! Audit: each routed accumulator is checked against the 32-bit
 //! accumulator register — [`TensorError::QuantizedOverflow`] mirrors the
 //! decode path's per-level overflow audits at kernel granularity. The
+//! error is returned iff some real output's accumulator leaves the
+//! register (zero-padding lanes of a tail slab are never audited); when
+//! several do, the reported `value` is the first in the kernel's own
+//! slab-major, then block, then row order, not row-major order. The
 //! bit-identical contract is over **successful** results: the decode path
 //! audits the 32-bit accumulator after every 16-product chunk, this
 //! kernel audits the final per-output sum, so a layer whose same-sign
@@ -51,94 +79,34 @@
 //! bound the `Accumulator` docs derive as ≤ 2^26) can error on one path
 //! and route on the other.
 
-use mfdfp_dfp::{fits_in_bits, realign, saturate, PackedPow2Matrix, ACCUMULATOR_BITS};
+use mfdfp_dfp::{realign, saturate, PackedPow2Matrix, ACCUMULATOR_BITS};
 
 use crate::error::{Result, TensorError};
-use crate::workspace::with_acc_lanes;
 
-/// Row width below which the multiversioned SIMD body is not worth its
-/// call overhead: narrow rows — above all `ncols = 1`, every
-/// `ShiftLinear` at batch 1 — take the always-inlined scalar body
-/// instead, so the feature check and the non-inlinable
-/// `#[target_feature]` call are hoisted out of the per-synapse path
-/// exactly where they cannot pay.
-const SIMD_MIN_ROW: usize = 16;
-
-/// One synapse's contribution across a whole activation row:
-/// `acc[j] += ((x[j] << sh) ^ m) − m` — the negate-by-mask MAC body.
-///
-/// The shifted product of an 8-bit code fits 16 bits (`|x| ≤ 128`,
-/// `sh ≤ 7` ⇒ `|x << sh| ≤ 2^14`), so the shift and the negate-by-mask
-/// run at `i16` width and only the final accumulate widens to 32 bits.
-/// Exact at every step — and twice the SIMD lanes for the hot ops.
-#[inline]
-fn accumulate_row(acc: &mut [i32], xrow: &[i8], sh: u32, m: i32) {
-    #[cfg(target_arch = "x86_64")]
-    if xrow.len() >= SIMD_MIN_ROW && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the AVX2 requirement is runtime-checked just above
-        // (the detection result is cached by std, so this is a load
-        // and branch, not a CPUID, on the hot path).
-        unsafe { accumulate_row_avx2(acc, xrow, sh, m) };
-        return;
-    }
-    let m16 = m as i16;
-    for (a, &x) in acc.iter_mut().zip(xrow) {
-        let p = (((x as i16) << sh) ^ m16) - m16;
-        *a += p as i32;
-    }
-}
-
-/// The MAC body compiled with AVX2 codegen: identical Rust to the
-/// portable body in [`accumulate_row`], so results are bit-identical —
-/// integer shift/xor/sub/add do not change meaning with vector width;
-/// only the throughput does (the `i16`-staged shift/negate runs 16 lanes
-/// per instruction).
-///
-/// # Safety
-///
-/// Callers must have verified AVX2 support at runtime
-/// (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_row_avx2(acc: &mut [i32], xrow: &[i8], sh: u32, m: i32) {
-    let m16 = m as i16;
-    for (a, &x) in acc.iter_mut().zip(xrow) {
-        let p = (((x as i16) << sh) ^ m16) - m16;
-        *a += p as i32;
-    }
-}
-
-/// Left-shift amount per 4-bit code: `e + 7` where `e = −(code & 7)`.
-const SHIFT: [u32; 16] = build_shift_table();
-/// Negate-by-mask operand per 4-bit code: `-1` (all ones) for
-/// negative-sign codes (bit 3 set), `0` otherwise; the signed product is
-/// `(shifted ^ mask) − mask`.
-const SIGN_MASK: [i32; 16] = build_sign_table();
-
-/// Synapse-chunk length for the 32-bit partial accumulators: products fit
-/// 16 bits, so `2^14` of them can reach at most `2^30` in magnitude —
-/// safely inside `i32` — before flushing to the 64-bit accumulator.
+/// Output rows per block: one widened activation slab row is added into
+/// `MR` rows' buckets, so the `i8 → i16` widening costs `1/MR` per MAC.
+/// Eight makes the bucket file `8 · 16 · 64 · 2 B = 16 KiB` — half of a
+/// 32 KiB L1d, leaving room for the slab rows streaming through.
+const MR: usize = 8;
+/// Wide slab: 64 output columns — one cache line of `i8` activation
+/// codes per synapse, four 16-lane `i16` vectors per bucket row.
+const NR_WIDE: usize = 64;
+/// Narrow slab: 16 output columns — one 16-lane `i16` vector, the
+/// smallest unit the adds run at. Taken when the whole product is at
+/// most this wide, which is every `ShiftLinear` up to batch 16.
+const NR_NARROW: usize = 16;
+/// Synapses added into the `i16` buckets between folds. Every synapse of
+/// an output lands in exactly one of its 16 buckets, so one bucket holds
+/// at most `255 · 128 = 32 640 < 2^15` in magnitude; 256 could reach
+/// `2^15` and wrap.
+const BUCKET_RUN: usize = 255;
+/// Synapses folded into the 32-bit lanes between flushes to the 64-bit
+/// accumulator: a shifted product is at most `128 · 2^7 = 2^14` in
+/// magnitude, so `2^14` of them reach at most `2^28`.
 const ACC32_CHUNK: usize = 1 << 14;
 
-const fn build_shift_table() -> [u32; 16] {
-    let mut t = [0u32; 16];
-    let mut c = 0;
-    while c < 16 {
-        t[c] = 7 - (c as u32 & 7);
-        c += 1;
-    }
-    t
-}
-
-const fn build_sign_table() -> [i32; 16] {
-    let mut t = [0i32; 16];
-    let mut c = 0;
-    while c < 16 {
-        t[c] = if c & 8 != 0 { -1 } else { 0 };
-        c += 1;
-    }
-    t
-}
+// The audit below is `acc == acc as i32`.
+const _: () = assert!(ACCUMULATOR_BITS == 32);
 
 /// Shape validation of the kernel entry.
 fn qgemm_check(
@@ -151,43 +119,233 @@ fn qgemm_check(
     out_len: usize,
 ) -> Result<()> {
     let k = w.cols();
-    if row0 + rows > w.rows() {
+    if row0.checked_add(rows).is_none_or(|end| end > w.rows()) {
         return Err(TensorError::BadGeometry(format!(
-            "qgemm row band {row0}..{} exceeds {} weight rows",
-            row0 + rows,
+            "qgemm row band {row0}+{rows} exceeds {} weight rows",
             w.rows()
         )));
     }
-    if xt.len() != ncols * k {
-        return Err(TensorError::DataLength { expected: ncols * k, actual: xt.len() });
+    let Some(xt_len) = ncols.checked_mul(k) else {
+        return Err(TensorError::BadGeometry(format!(
+            "qgemm column matrix {k} x {ncols} overflows usize"
+        )));
+    };
+    if xt.len() != xt_len {
+        return Err(TensorError::DataLength { expected: xt_len, actual: xt.len() });
     }
     if bias.len() != rows {
         return Err(TensorError::DataLength { expected: rows, actual: bias.len() });
     }
-    if out_len != rows * ncols {
-        return Err(TensorError::DataLength { expected: rows * ncols, actual: out_len });
+    // `rows ≤ w.rows()` and, for `k > 0`, `ncols ≤ xt.len()`, but at
+    // `k = 0` nothing bounds `ncols` yet.
+    let Some(expect_out) = rows.checked_mul(ncols) else {
+        return Err(TensorError::BadGeometry(format!(
+            "qgemm output {rows} x {ncols} overflows usize"
+        )));
+    };
+    if out_len != expect_out {
+        return Err(TensorError::DataLength { expected: expect_out, actual: out_len });
     }
     Ok(())
 }
 
+/// The "Accumulator & Routing" epilogue over one lane set: audits every
+/// accumulator against the 32-bit register, then realigns from
+/// `acc_frac` to `out_frac` (round half away from zero) and saturates to
+/// the 8-bit activation code — `saturate(realign(v, acc_frac, out_frac),
+/// 8)` for each lane, without a data-dependent branch.
+///
+/// The accumulator's sign is a coin flip per output, so `shift_round`'s
+/// `if v >= 0` mispredicts half the time; here the sign becomes a mask
+/// (`v >> 63`), the magnitude is rounded and shifted, and the mask puts
+/// the sign back. Left shifts and right shifts of 32 or more (where
+/// `a + half` is no longer obviously inside `i64`) are rare radix
+/// settings, decided once per call, and take the scalar helpers.
+#[inline(always)]
+fn route_lanes(acc: &[i64], acc_frac: i32, out_frac: i32, out: &mut [i8]) -> Result<()> {
+    debug_assert_eq!(acc.len(), out.len());
+    let overflows = |v: i64| v != v as i32 as i64;
+    // An OR over the lane set, not an early-exit search: no branch per lane.
+    if acc.iter().fold(false, |any, &v| any | overflows(v)) {
+        let value = acc.iter().copied().find(|&v| overflows(v)).expect("a lane overflowed");
+        mfdfp_obs::ops::record_overflow_audit();
+        return Err(TensorError::QuantizedOverflow { value, bits: ACCUMULATOR_BITS });
+    }
+    let right = acc_frac.saturating_sub(out_frac);
+    if (1..32).contains(&right) {
+        let half = 1i64 << (right - 1);
+        for (o, &v) in out.iter_mut().zip(acc) {
+            let sign = v >> 63;
+            let a = (v ^ sign) - sign;
+            let r = (((a + half) >> right) ^ sign) - sign;
+            *o = r.clamp(-128, 127) as i8;
+        }
+    } else {
+        for (o, &v) in out.iter_mut().zip(acc) {
+            *o = saturate(realign(v, acc_frac, out_frac), 8) as i8;
+        }
+    }
+    Ok(())
+}
+
+/// One activation slab row (`src.len() ≤ NR` codes) widened to `i16`
+/// lanes; lanes past a tail slab's width are zero, so they add nothing.
+#[inline(always)]
+fn widen<const NR: usize>(src: &[i8]) -> [i16; NR] {
+    let mut lanes = [0i16; NR];
+    if let Ok(full) = <&[i8; NR]>::try_from(src) {
+        // A whole slab has a fixed trip count: straight sign-extending
+        // vector loads instead of a length-checked loop.
+        for (l, &x) in lanes.iter_mut().zip(full) {
+            *l = x as i16;
+        }
+    } else {
+        for (l, &x) in lanes.iter_mut().zip(src) {
+            *l = x as i16;
+        }
+    }
+    lanes
+}
+
+/// The class-bucket loop nest at one lane width, over output rows
+/// `[band0, band0 + rows)` and all `ncols` columns:
+///
+/// ```text
+/// for each slab of NR columns                  (tail slab zero-padded)
+///   for each block of MR rows                  (tail rows alias the last)
+///     acc64[MR][NR] = bias
+///     for each chunk of 2^14 synapses          acc32[MR][NR] = 0
+///       for each run of 255 synapses           bucket[MR][16][NR] = 0
+///         for each synapse c                   x = widen(xt[c][slab])
+///           for each row i                     bucket[i][code(i, c)] += x
+///         acc32[i] += Σ_s (bucket[i][+,s] − bucket[i][−,s]) << s
+///       acc64 += acc32
+///     out[block][slab] = route(acc64)          (real rows and lanes only)
+/// ```
+///
+/// Slabs are the outer loop so a slab's `k × NR` activation bytes stay in
+/// L2 while every row block re-reads them; the packed weights are small
+/// and re-read per slab. The pad nibble of an odd-length row is never
+/// read because `c` stops at `k`.
+#[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
+#[inline(always)]
+fn band_body<const NR: usize>(
+    w: &PackedPow2Matrix,
+    band0: usize,
+    rows: usize,
+    xt: &[i8],
+    ncols: usize,
+    bias: &[i64],
+    acc_frac: i32,
+    out_frac: i32,
+    out: &mut [i8],
+) -> Result<()> {
+    let k = w.cols();
+    for j0 in (0..ncols).step_by(NR) {
+        let width = NR.min(ncols - j0);
+        for r0 in (0..rows).step_by(MR) {
+            // Rows past the block's end alias its last row: the scatter
+            // loop keeps a fixed trip count and their lanes are dropped.
+            let row = |i: usize| r0 + i.min(rows - r0 - 1);
+            let wrows: [&[u8]; MR] = std::array::from_fn(|i| w.row_bytes(band0 + row(i)));
+            let mut acc64: [[i64; NR]; MR] = std::array::from_fn(|i| [bias[row(i)]; NR]);
+            for c0 in (0..k).step_by(ACC32_CHUNK) {
+                let c1 = (c0 + ACC32_CHUNK).min(k);
+                let mut acc32 = [[0i32; NR]; MR];
+                for q0 in (c0..c1).step_by(BUCKET_RUN) {
+                    let mut bucket = [[[0i16; NR]; 16]; MR];
+                    for c in q0..(q0 + BUCKET_RUN).min(c1) {
+                        let x = widen::<NR>(&xt[c * ncols + j0..][..width]);
+                        for (b, wrow) in bucket.iter_mut().zip(&wrows) {
+                            let code = (wrow[c >> 1] >> ((c & 1) * 4)) & 0xF;
+                            for (lane, &xl) in b[code as usize].iter_mut().zip(&x) {
+                                *lane += xl;
+                            }
+                        }
+                    }
+                    // Horner fold: code `e` (bits 2..0) shifts by `7 − e`,
+                    // bit 3 is the sign.
+                    for (a32, b) in acc32.iter_mut().zip(&bucket) {
+                        let mut t = [0i32; NR];
+                        for e in 0..8 {
+                            for (l, tl) in t.iter_mut().enumerate() {
+                                *tl = (*tl << 1) + (b[e][l] - b[8 + e][l]) as i32;
+                            }
+                        }
+                        for (al, &tl) in a32.iter_mut().zip(&t) {
+                            *al += tl;
+                        }
+                    }
+                }
+                for (a64, a32) in acc64.iter_mut().zip(&acc32) {
+                    for (al, &sl) in a64.iter_mut().zip(a32) {
+                        *al += sl as i64;
+                    }
+                }
+            }
+            for (i, a64) in acc64.iter().enumerate().take(rows - r0) {
+                let orow = &mut out[(r0 + i) * ncols + j0..][..width];
+                route_lanes(&a64[..width], acc_frac, out_frac, orow)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The band at the lane width its column count selects — `ncols` is the
+/// one thing the kernel can observe about its caller. Compiled for the
+/// build's baseline target; [`band_avx2`] is the same body with AVX2
+/// codegen.
+#[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
+#[inline(always)]
+fn band_portable(
+    w: &PackedPow2Matrix,
+    band0: usize,
+    rows: usize,
+    xt: &[i8],
+    ncols: usize,
+    bias: &[i64],
+    acc_frac: i32,
+    out_frac: i32,
+    out: &mut [i8],
+) -> Result<()> {
+    if ncols > NR_NARROW {
+        band_body::<NR_WIDE>(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+    } else {
+        band_body::<NR_NARROW>(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+    }
+}
+
+/// [`band_portable`] compiled with AVX2 codegen.
+///
+/// # Safety
+///
+/// Callers must have verified AVX2 support at runtime
+/// (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
+unsafe fn band_avx2(
+    w: &PackedPow2Matrix,
+    band0: usize,
+    rows: usize,
+    xt: &[i8],
+    ncols: usize,
+    bias: &[i64],
+    acc_frac: i32,
+    out_frac: i32,
+    out: &mut [i8],
+) -> Result<()> {
+    band_portable(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+}
+
 /// The serial band kernel: computes output rows `[band0, band0 + rows)` of
 /// the packed product into `out` (`rows × ncols`, row-major activation
-/// codes). `bias` is indexed relative to the band. Activation codes are
-/// widened in register, one sign-extending load per MAC.
-///
-/// Loop nest: per weight nibble, the shift amount and sign mask are
-/// resolved **once** and applied across the whole activation row (the
-/// im2col layout makes that row contiguous); the per-MAC body is
-/// `widen, shift, xor, sub, add` with a loop-invariant shift count —
-/// branch-free, multiplier-free, and auto-vectorizable. Each synapse
-/// contributes on its sign's side of the accumulation via negate-by-mask;
-/// the pad nibble of an odd-length row is never read because `c` stops at
-/// `cols`.
-///
-/// The accumulator lanes come from the calling thread's persistent
-/// scratch ([`with_acc_lanes`]) — the parallel dispatcher runs one band
-/// per pool thread, so after each thread's first call the kernel
-/// allocates nothing.
+/// codes). `bias` is indexed relative to the band. Counts the band's
+/// shift-MACs, then runs [`band_body`] — multiversioned once per band,
+/// not per synapse: the AVX2 build where the CPU has it, the baseline
+/// build otherwise. Integer add/sub/shift do not change meaning with
+/// vector width, so the two builds are bit-identical (unit-tested).
 #[allow(clippy::too_many_arguments)] // private kernel: slices + full index frame
 fn qgemm_band(
     w: &PackedPow2Matrix,
@@ -200,42 +358,15 @@ fn qgemm_band(
     out_frac: i32,
     out: &mut [i8],
 ) -> Result<()> {
-    let k = w.cols();
     // Op-count telemetry, amortized: one fetch_add per band call (the
     // parallel dispatcher calls once per row chunk), never per MAC.
-    mfdfp_obs::ops::record_shift_macs((rows * k * ncols) as u64);
-    with_acc_lanes(ncols, |acc64, acc32| {
-        for r in 0..rows {
-            let wrow = w.row_bytes(band0 + r);
-            acc64.fill(bias[r]);
-            for c0 in (0..k).step_by(ACC32_CHUNK) {
-                let c1 = (c0 + ACC32_CHUNK).min(k);
-                acc32.fill(0);
-                for c in c0..c1 {
-                    let code = ((wrow[c >> 1] >> ((c & 1) * 4)) & 0xF) as usize;
-                    let sh = SHIFT[code];
-                    let m = SIGN_MASK[code];
-                    let xrow = &xt[c * ncols..(c + 1) * ncols];
-                    accumulate_row(acc32, xrow, sh, m);
-                }
-                for (a64, &a32) in acc64.iter_mut().zip(acc32.iter()) {
-                    *a64 += a32 as i64;
-                }
-            }
-            let orow = &mut out[r * ncols..(r + 1) * ncols];
-            for (o, &acc) in orow.iter_mut().zip(acc64.iter()) {
-                if !fits_in_bits(acc, ACCUMULATOR_BITS) {
-                    mfdfp_obs::ops::record_overflow_audit();
-                    return Err(TensorError::QuantizedOverflow {
-                        value: acc,
-                        bits: ACCUMULATOR_BITS,
-                    });
-                }
-                *o = saturate(realign(acc, acc_frac, out_frac), 8) as i8;
-            }
-        }
-        Ok(())
-    })
+    mfdfp_obs::ops::record_shift_macs((rows * w.cols() * ncols) as u64);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 requirement is runtime-checked just above.
+        return unsafe { band_avx2(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out) };
+    }
+    band_portable(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
 }
 
 /// The packed shift-only kernel's one entry: computes output rows
@@ -250,7 +381,7 @@ fn qgemm_band(
 ///   `k × (ncols_per_image · batch)` row-major with the batch interleaved
 ///   innermost (column `j = p · batch + b` is output pixel `p` of image
 ///   `b`), so one synapse's activations across all output columns are
-///   contiguous and the per-nibble tables hoist out of the column loop.
+///   contiguous and one nibble read serves a whole slab of them.
 ///   At `batch = 1` this is the standard `k × ncols` im2col layout.
 /// * `bias` — `rows` accumulator-format biases (fractional length
 ///   `acc_frac`), relative to the band.
@@ -259,19 +390,21 @@ fn qgemm_band(
 ///   `rows × (ncols_per_image · batch)` saturated 8-bit activation codes
 ///   in the same interleaved order, ready to be the next layer's input.
 ///
-/// **Bit-identity contract.** The band kernel computes every output
-/// element by walking synapses `c = 0..k` in a fixed order that chunks
-/// over `k` only — the column count never changes the per-element
-/// accumulation order. Widening `ncols` from `ncols_per_image` to
-/// `ncols_per_image · batch` therefore yields, column for column, exactly
-/// the integers `batch` separate calls at `batch = 1` produce
-/// (property-tested in `crates/tensor/tests/properties.rs`). The
+/// **Bit-identity contract.** Every output element is an exact integer
+/// sum of its own column's products (no intermediate can overflow — see
+/// the [module docs](self)), so neither the lane width the column count
+/// selects nor a column's position in its slab can change it. Widening
+/// `ncols` from `ncols_per_image` to `ncols_per_image · batch` therefore
+/// yields, column for column, exactly the integers `batch` separate
+/// calls at `batch = 1` produce (property-tested in
+/// `crates/tensor/tests/properties.rs`). The
 /// shift-MAC telemetry is likewise exact automatically:
 /// `rows · k · (ncols_per_image · batch)` equals the sum of the per-image
 /// counts.
 ///
-/// What fusion buys is dispatch shape, not arithmetic: the MAC rows are
-/// `batch`× longer (deeper SIMD per nibble decode) and the row-banded
+/// What fusion buys is dispatch shape, not arithmetic: the activation
+/// rows are `batch`× longer (more slabs per nibble read, and full 64-lane
+/// slabs where a single image's row is narrower) and the row-banded
 /// parallel threshold sees the whole layer-batch product at once, so the
 /// pool splits per-layer work instead of per-image work. Bands of at
 /// least two rows whose work crosses the shared `par` module threshold
@@ -280,8 +413,9 @@ fn qgemm_band(
 ///
 /// # Errors
 ///
-/// [`TensorError::BadGeometry`] for a zero batch or a row band outside
-/// the matrix, [`TensorError::DataLength`] on buffer-length mismatches,
+/// [`TensorError::BadGeometry`] for a zero batch, a row band outside
+/// the matrix or an extent that overflows `usize`,
+/// [`TensorError::DataLength`] on buffer-length mismatches,
 /// [`TensorError::QuantizedOverflow`] if an accumulator leaves its 32-bit
 /// register (operands cannot overflow by construction).
 ///
@@ -319,7 +453,11 @@ pub fn qgemm_fused_into_i8(
     if batch == 0 {
         return Err(TensorError::BadGeometry("fused qgemm needs a positive batch".into()));
     }
-    let ncols = ncols_per_image * batch;
+    let Some(ncols) = ncols_per_image.checked_mul(batch) else {
+        return Err(TensorError::BadGeometry(format!(
+            "fused qgemm width {ncols_per_image} x {batch} images overflows usize"
+        )));
+    };
     qgemm_check(w, row0, rows, xt, ncols, bias, out.len())?;
     let _span = mfdfp_obs::span!("qgemm.fused", (rows * w.cols() * ncols) as u64);
     dispatch_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, out)
@@ -565,6 +703,90 @@ mod tests {
     }
 
     #[test]
+    fn audit_sees_real_lanes_only() {
+        // One +1 weight (shift 7) per row; 65 columns = one full wide slab
+        // plus a one-column tail slab padded with 63 zero lanes.
+        let w = PackedPow2Matrix::from_f32(9, 1, &[1.0; 9]).unwrap();
+        let mut xt = vec![0i8; 65];
+        xt[64] = 1;
+        // Only the tail slab's one real lane of the last row (second row
+        // block) overflows: MAX − 100 + (1 << 7).
+        let mut bias = vec![0i64; 9];
+        bias[8] = i32::MAX as i64 - 100;
+        let want = i32::MAX as i64 + 28;
+        let mut out = vec![0i8; 9 * 65];
+        for result in [
+            qgemm_band(&w, 0, 9, &xt, 65, &bias, 10, 3, &mut out),
+            qgemm_band_parallel(&w, 0, 9, &xt, 65, &bias, 10, 3, &mut out),
+        ] {
+            assert!(matches!(
+                result,
+                Err(TensorError::QuantizedOverflow { value, .. }) if value == want
+            ));
+        }
+        // A padding lane holds the bare bias (its activation is zero). A
+        // bias outside the register that every real lane brings back
+        // inside must route: narrow slab (15 padding lanes) and wide tail.
+        let over = i32::MAX as i64 + 100;
+        for ncols in [1usize, 65] {
+            let xt = vec![-1i8; ncols];
+            let mut out = vec![0i8; ncols];
+            qgemm_band(&w, 0, 1, &xt, ncols, &[over], 10, 3, &mut out).unwrap();
+            assert_eq!(out, reference(&w, &xt, ncols, &[over], 10, 3));
+        }
+    }
+
+    #[test]
+    fn branch_free_route_matches_realign_saturate() {
+        // Accumulator values over the whole 32-bit register: the rails,
+        // every power of two and its neighbours on both sides of zero,
+        // and a pseudo-random fill.
+        let mut acc = vec![0i64, i32::MIN as i64, i32::MAX as i64];
+        for bit in 0..31 {
+            for d in [-1i64, 0, 1] {
+                acc.extend([(1i64 << bit) + d, -(1i64 << bit) + d]);
+            }
+        }
+        acc.extend(
+            inputs(4096, 11).chunks(4).map(|c| {
+                i32::from_le_bytes([c[0] as u8, c[1] as u8, c[2] as u8, c[3] as u8]) as i64
+            }),
+        );
+        let mut out = vec![0i8; acc.len()];
+        // out − acc ∈ −40..=8: right shifts through the branch-free form
+        // (1..=31) and both fallbacks (≥ 32, and left shifts).
+        for acc_frac in [0i32, 14, 40] {
+            for out_frac in acc_frac - 40..=acc_frac + 8 {
+                route_lanes(&acc, acc_frac, out_frac, &mut out).unwrap();
+                for (&v, &o) in acc.iter().zip(&out) {
+                    let want = saturate(realign(v, acc_frac, out_frac), 8) as i8;
+                    assert_eq!(o, want, "v={v} acc_frac={acc_frac} out_frac={out_frac}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_band_matches_dispatched_band() {
+        // `qgemm_band` runs the AVX2 build of the body wherever the CPU
+        // has it — every CI runner — so this is the only place the
+        // portable build executes there: wide, narrow and tail shapes.
+        for (rows, cols, ncols) in
+            [(9, 300, 130), (17, 75, 64), (8, 40, 16), (3, 1024, 1), (5, 7, 17)]
+        {
+            let w = codes_matrix(rows, cols, (rows * cols + ncols) as u64);
+            let xt = inputs(cols * ncols, 29);
+            let bias: Vec<i64> = (0..rows).map(|r| (r as i64 - 4) * 1000).collect();
+            let mut dispatched = vec![0i8; rows * ncols];
+            qgemm_band(&w, 0, rows, &xt, ncols, &bias, 13, 4, &mut dispatched).unwrap();
+            let mut portable = vec![0i8; rows * ncols];
+            band_portable(&w, 0, rows, &xt, ncols, &bias, 13, 4, &mut portable).unwrap();
+            assert_eq!(portable, dispatched, "rows={rows} cols={cols} ncols={ncols}");
+            assert_eq!(portable, reference(&w, &xt, ncols, &bias, 13, 4));
+        }
+    }
+
+    #[test]
     fn row_band_matches_full_product() {
         // Band selection composes with the fused batch dimension: a band
         // of the batch-2 product equals the same rows of the full one.
@@ -612,6 +834,35 @@ mod tests {
         assert!(qgemm_fused_into_i8(&w, 1, 2, &xt, 1, 1, &bias, 10, 3, &mut out).is_err());
         assert!(matches!(
             qgemm_fused_into_i8(&w, 0, 2, &xt, 1, 0, &bias, 10, 3, &mut out),
+            Err(TensorError::BadGeometry(_))
+        ));
+    }
+
+    #[test]
+    fn entry_rejects_overflowing_extents() {
+        // Each of these extents wraps to a small value in release
+        // arithmetic and used to match the (empty) buffers.
+        let w = codes_matrix(4, 4, 9);
+        let bias = vec![0i64; 4];
+        let half = 1usize << (usize::BITS - 1);
+        for (row0, rows, ncols_pi, batch) in [
+            (0, 4, half, 2),       // ncols_per_image · batch
+            (0, 4, half / 2, 1),   // ncols · k
+            (usize::MAX, 1, 1, 1), // row0 + rows
+        ] {
+            let b = &bias[..rows];
+            assert!(
+                matches!(
+                    qgemm_fused_into_i8(&w, row0, rows, &[], ncols_pi, batch, b, 10, 3, &mut []),
+                    Err(TensorError::BadGeometry(_))
+                ),
+                "row0={row0} rows={rows} ncols_pi={ncols_pi} batch={batch}"
+            );
+        }
+        // rows · ncols: with k = 0 no column-matrix length bounds ncols.
+        let w = codes_matrix(4, 0, 9);
+        assert!(matches!(
+            qgemm_fused_into_i8(&w, 0, 4, &[], half / 2, 1, &bias, 10, 3, &mut []),
             Err(TensorError::BadGeometry(_))
         ));
     }

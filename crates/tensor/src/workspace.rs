@@ -23,11 +23,9 @@
 //!   the software analogue of each hardware processing unit owning its
 //!   activation buffers.
 //!
-//! The 32/64-bit accumulator lanes of the packed GEMM kernel follow the
-//! same per-thread pattern (the crate-private `with_acc_lanes`): the
-//! parallel kernel runs one row band per pool thread, so per-thread lanes
-//! are exactly one lane pair per concurrent band — persistent,
-//! uncontended, and invisible to the caller.
+//! The packed GEMM kernel ([`crate::ops::qgemm`]) needs none of this: its
+//! buckets and accumulator lanes are fixed-size arrays on the stack of
+//! whichever thread runs the band.
 
 use std::cell::RefCell;
 
@@ -214,9 +212,6 @@ impl Workspace {
 thread_local! {
     /// One workspace per OS thread (see [`with_thread_workspace`]).
     static THREAD_WS: RefCell<Workspace> = RefCell::new(Workspace::new());
-    /// One accumulator lane pair per OS thread (see [`with_acc_lanes`]).
-    static ACC_LANES: RefCell<(AlignedVec<i64>, AlignedVec<i32>)> =
-        const { RefCell::new((AlignedVec::new(), AlignedVec::new())) };
 }
 
 /// Runs `f` with the calling thread's persistent [`Workspace`].
@@ -237,27 +232,6 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     THREAD_WS.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => f(&mut ws),
         Err(_) => f(&mut Workspace::new()),
-    })
-}
-
-/// Runs `f` with the calling thread's persistent accumulator lanes, grown
-/// to `ncols` 64-bit and `ncols` 32-bit slots.
-///
-/// This is the packed GEMM kernel's scratch: the parallel dispatcher runs
-/// one row band per pool thread, so per-thread lanes give every
-/// concurrent band private, persistent accumulators with no allocation
-/// after each thread's first kernel call. Falls back to fresh lanes under
-/// re-entrant borrowing, same as [`with_thread_workspace`] (the kernel
-/// never re-enters itself, but a helping pool thread can).
-pub(crate) fn with_acc_lanes<R>(ncols: usize, f: impl FnOnce(&mut [i64], &mut [i32]) -> R) -> R {
-    ACC_LANES.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut lanes) => {
-            let (acc64, acc32) = &mut *lanes;
-            acc64.resize(ncols, 0);
-            acc32.resize(ncols, 0);
-            f(&mut acc64[..ncols], &mut acc32[..ncols])
-        }
-        Err(_) => f(&mut vec![0i64; ncols], &mut vec![0i32; ncols]),
     })
 }
 
@@ -343,17 +317,6 @@ mod tests {
         });
         let second_cap = with_thread_workspace(|ws| ws.im2col.capacity());
         assert!(second_cap >= first_cap.min(256));
-    }
-
-    #[test]
-    fn acc_lanes_are_sized_and_reused() {
-        with_acc_lanes(17, |a64, a32| {
-            assert_eq!((a64.len(), a32.len()), (17, 17));
-            a64.fill(7);
-        });
-        with_acc_lanes(5, |a64, a32| {
-            assert_eq!((a64.len(), a32.len()), (5, 5));
-        });
     }
 
     #[test]

@@ -272,6 +272,32 @@ mod fused_batch_equivalence {
         out
     }
 
+    /// Unit-stride spans clipped on the left, on the right, on both sides,
+    /// and to nothing (padding wider than the whole output row) — outside
+    /// the proptest's ranges — beside the strided per-pixel path.
+    #[test]
+    fn batched_im2col_span_edges() {
+        for (hw, kernel, stride, pad) in
+            [(1, 21, 1, 10), (2, 5, 1, 4), (4, 3, 1, 2), (5, 5, 1, 2), (6, 1, 1, 0), (5, 3, 2, 2)]
+        {
+            let g = ConvGeometry::new(2, hw, hw, 1, kernel, stride, pad).unwrap();
+            for batch in [1usize, 3] {
+                let images: Vec<Vec<i8>> =
+                    (0..batch).map(|b| codes(2 * hw * hw, b as u64 + 1)).collect();
+                let want: Vec<Vec<i8>> =
+                    images.iter().map(|img| gather_reference(img, &g, 0)).collect();
+                // Stale bytes everywhere: padding must be written, not assumed.
+                let mut xt = vec![0x55i8; g.col_height() * g.col_width() * batch];
+                im2col_batched_i8(&interleave(&images), &g, 0, batch, &mut xt).unwrap();
+                assert_eq!(
+                    xt,
+                    interleave(&want),
+                    "hw={hw} k={kernel} s={stride} p={pad} b={batch}"
+                );
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 

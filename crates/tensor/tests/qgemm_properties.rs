@@ -2,8 +2,11 @@
 //! (`qgemm_fused_into_i8`): agreement with a scalar `mul_shift` decode
 //! oracle for arbitrary shapes (including the odd-column pad nibble at
 //! every row boundary), across the serial/row-parallel dispatch
-//! threshold, and band ≡ full product. (Serial ≡ forced-parallel on the
-//! private band functions is checked in the kernel's own unit tests.)
+//! threshold, and band ≡ full product; plus fixed cases at the kernel's
+//! own edges — the 255-synapse bucket run at its `i16` rails, the 2^14
+//! flush, and every slab/block boundary. (Serial ≡ forced-parallel and
+//! portable ≡ AVX2 on the private band functions are checked in the
+//! kernel's own unit tests.)
 
 use mfdfp_dfp::{realign, saturate, PackedPow2Matrix, Pow2Weight};
 use mfdfp_tensor::qgemm_fused_into_i8;
@@ -62,6 +65,63 @@ fn operands(seed: u64, rows: usize, cols: usize, count: usize) -> (PackedPow2Mat
     let w = PackedPow2Matrix::from_weights(rows, cols, &codes).unwrap();
     let xt = (0..count).map(|_| (next() % 256) as u8 as i8).collect();
     (w, xt)
+}
+
+/// `k` synapses of one weight code against one activation value, with
+/// the bias cancelling the exact sum down to `residue` and a one-bit
+/// routing shift: any lost, duplicated or wrapped contribution moves the
+/// output off `route(residue)` (a saturating route of the raw sum would
+/// hide it).
+fn assert_exact_sum(code: u8, x: i8, k: usize) {
+    let wgt = Pow2Weight::decode4(code).unwrap();
+    let w = PackedPow2Matrix::from_weights(1, k, &vec![wgt; k]).unwrap();
+    let xt = vec![x; k];
+    let residue = 37i64;
+    let bias = [residue - k as i64 * wgt.mul_shift(x as i32) as i64];
+    let got = qgemm(&w, &xt, 1, &bias, 8, 7);
+    assert_eq!(got, decode_oracle(&w, &xt, 1, &bias, 8, 7), "code={code} x={x} k={k}");
+    assert_eq!(got, [19], "code={code} x={x} k={k}");
+}
+
+/// Bucket-run edges: one short of, exactly, and one past one and two
+/// runs of 255, with every synapse in the same bucket at the activation
+/// rails — the input that drives one `i16` bucket to ±32 640.
+#[test]
+fn bucket_runs_hold_the_activation_rails() {
+    for code in 0..16u8 {
+        for x in [-128i8, 127] {
+            for k in [254usize, 255, 256, 509, 510, 511, 1024] {
+                assert_exact_sum(code, x, k);
+            }
+        }
+    }
+}
+
+/// The `i32 → i64` flush: three synapses past one 2^14 chunk, at the
+/// largest product magnitude (2^14 each, 2^28 per chunk).
+#[test]
+fn accumulator_flush_boundary_is_exact() {
+    assert_exact_sum(0, -128, (1 << 14) + 3);
+    assert_exact_sum(8, -128, (1 << 14) + 3);
+}
+
+/// Slab and block edges: column counts around the 16- and 64-lane slabs
+/// (and the `ncols ≤ 16` selection between them), row counts around the
+/// 8-row block, as full products and as a band starting mid-block.
+#[test]
+fn slab_and_block_edges_match_decode_oracle() {
+    let k = 19;
+    for ncols in [1usize, 15, 16, 17, 63, 64, 65, 129] {
+        for rows in [1usize, 7, 8, 9, 17] {
+            let (w, xt) = operands((ncols * 31 + rows) as u64, rows + 3, k, ncols * k);
+            let bias: Vec<i64> = (0..rows + 3).map(|r| r as i64 * 211 - 900).collect();
+            let full = decode_oracle(&w, &xt, ncols, &bias, 12, 4);
+            assert_eq!(qgemm(&w, &xt, ncols, &bias, 12, 4), full, "ncols={ncols} rows={rows}");
+            let mut band = vec![0i8; rows * ncols];
+            qgemm_fused_into_i8(&w, 3, rows, &xt, ncols, 1, &bias[3..], 12, 4, &mut band).unwrap();
+            assert_eq!(band, full[3 * ncols..], "band 3+{rows} ncols={ncols}");
+        }
+    }
 }
 
 proptest! {
