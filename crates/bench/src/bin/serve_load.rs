@@ -44,7 +44,7 @@
 //! | `MFDFP_SERVE_SHARDS` | 1 | server worker shards |
 //! | `MFDFP_SERVE_WORKERS` | 1 | worker threads per shard |
 //! | `MFDFP_SERVE_MAX_BATCH` | 8 | batcher size bound |
-//! | `MFDFP_SERVE_MAX_WAIT_US` | 2000 | batcher linger bound (µs) |
+//! | `MFDFP_SERVE_MAX_WAIT_US` | 0 | opt-in batcher linger (µs) |
 //! | `MFDFP_SERVE_MODELS` | 1 | registered models, round-robined |
 //! | `MFDFP_SERVE_DEADLINE_US` | unset | per-request shed deadline (µs) |
 //! | `MFDFP_SERVE_POISON_PCT` | 0 | % of requests sent malformed |
@@ -535,7 +535,7 @@ fn main() {
         workers: env_usize("MFDFP_SERVE_WORKERS", 1),
         queue_capacity: (producers * 4).max(64),
         max_batch: env_usize("MFDFP_SERVE_MAX_BATCH", 8),
-        max_wait: Duration::from_micros(env_usize("MFDFP_SERVE_MAX_WAIT_US", 2000) as u64),
+        max_wait: Duration::from_micros(env_usize("MFDFP_SERVE_MAX_WAIT_US", 0) as u64),
         model_quota: None,
         ..ServeConfig::default()
     };

@@ -6,10 +6,13 @@ use crate::error::{Result, ServeError};
 
 /// Configuration for a [`crate::Server`].
 ///
-/// The two batching knobs trade latency for throughput exactly like the
-/// dynamic batchers in production serving stacks: a worker that pops a
-/// request keeps the batch open until it holds `max_batch` requests or
-/// `max_wait` has elapsed since the pop, whichever comes first. A batch
+/// Batching is work-conserving at its core: a worker that comes free
+/// takes what is queued *now*, up to `max_batch`, so batches form from
+/// the backlog that accumulates while the previous batch computes — size
+/// one at idle, `max_batch` at saturation. `max_wait` adds a linger on
+/// top: an unfilled batch is held open that long for late arrivals. At
+/// `Duration::ZERO` there is no linger and no request waits on a timer;
+/// the default is a short one (1 ms, see the field). A batch
 /// dispatches through the batch-fused `logits_batch_into`, whose large
 /// layers fan output rows across the shared `mfdfp-rt` pool when its
 /// width (`MFDFP_THREADS`) is ≥ 2.
@@ -28,9 +31,17 @@ pub struct ServeConfig {
     /// Bounded per-shard request-queue capacity; submissions beyond it
     /// are rejected with [`ServeError::QueueFull`] (admission control).
     pub queue_capacity: usize,
-    /// Largest batch a worker will coalesce before dispatching.
+    /// Largest batch a worker will take from the queue in one dispatch.
     pub max_batch: usize,
-    /// How long a worker holds an open batch waiting for more requests.
+    /// The linger: how long a worker holds an *unfilled* batch open for
+    /// late arrivals. It buys larger batches when arrivals are sparser
+    /// than a dispatch is long, and it paces concurrent closed-loop
+    /// clients into one batch per linger, which makes their rate a
+    /// property of the timer rather than of how the OS places threads;
+    /// it costs every request popped into an unfilled batch up to
+    /// `max_wait` of added latency — at low load, all of them.
+    /// `Duration::ZERO` turns it off: the batch path then reads no clock
+    /// and a request never waits for company. Default 1 ms.
     pub max_wait: Duration,
     /// Per-model in-flight quota: at most this many requests per model
     /// may be queued/in flight at once; the excess is rejected with
@@ -61,7 +72,7 @@ impl Default for ServeConfig {
             workers: 1,
             queue_capacity: 256,
             max_batch: 16,
-            max_wait: Duration::from_micros(2000),
+            max_wait: Duration::from_millis(1),
             model_quota: None,
             breaker: Some(BreakerConfig::default()),
             degrade: None,
@@ -287,6 +298,15 @@ mod tests {
     fn defaults_validate() {
         assert!(ServeConfig::default().validate().is_ok());
         assert!(HttpConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn default_linger_is_short_and_zero_is_valid() {
+        // The default linger is half the 2 ms it used to be, and the
+        // work-conserving setting (no linger at all) is a valid config.
+        assert_eq!(ServeConfig::default().max_wait, Duration::from_millis(1));
+        let no_linger = ServeConfig { max_wait: Duration::ZERO, ..ServeConfig::default() };
+        assert!(no_linger.validate().is_ok());
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //!
 //! [`MetricsSnapshot`]: crate::MetricsSnapshot
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -256,6 +257,22 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|pos| pos + 4)
 }
 
+/// Bytes the request at the front of `buf` occupies once complete —
+/// head plus declared `content-length` — when its head is in. Only
+/// consulted after [`parse_request`] accepted that head (limits already
+/// enforced) and asked for more: it sizes the body read, and follows
+/// the parser's rule of the *first* `content-length` header.
+fn declared_total(buf: &[u8]) -> Option<usize> {
+    let head_end = find_head_end(buf)?;
+    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
+    let (_, length) = head
+        .split("\r\n")
+        .skip(1)
+        .filter_map(|line| line.split_once(':'))
+        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))?;
+    head_end.checked_add(length.trim().parse().ok()?)
+}
+
 /// RFC 7230 `token` characters (method and header names).
 fn is_token(s: &str) -> bool {
     s.bytes().all(|b| b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b))
@@ -299,7 +316,8 @@ pub fn parse_f32_array(body: &[u8]) -> std::result::Result<Vec<f32>, String> {
     if inner.is_empty() {
         return Ok(Vec::new());
     }
-    let mut values = Vec::new();
+    let commas = inner.bytes().filter(|&b| b == b',').count();
+    let mut values = Vec::with_capacity(commas + 1);
     for (i, token) in inner.split(',').enumerate() {
         let token = token.trim();
         let value: f32 =
@@ -323,7 +341,7 @@ pub fn format_f32_array(values: &[f32]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{v:?}"));
+        let _ = write!(out, "{v:?}"); // writing to a String cannot fail
     }
     out.push(']');
     out
@@ -391,8 +409,10 @@ impl Reply {
         }
     }
 
-    fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let mut head = format!(
+    /// Head and body leave in **one** `write_all`: with `TCP_NODELAY`
+    /// two writes are two segments and usually a second client read.
+    fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
+        let mut message = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             reason(self.status),
@@ -400,11 +420,11 @@ impl Reply {
             if self.keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            let _ = write!(message, "{name}: {value}\r\n");
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())?;
+        message.push_str("\r\n");
+        message.push_str(&self.body);
+        stream.write_all(message.as_bytes())?;
         stream.flush()
     }
 }
@@ -481,6 +501,11 @@ impl Drop for HttpServer {
     }
 }
 
+/// Bytes asked of the socket per read until a request's size is known:
+/// the default head limit plus room for a small-model body, so such a
+/// request is one read and one parse.
+const READ_WINDOW: usize = 16 * 1024;
+
 /// Releases one connection slot on drop, so a panicking handler can
 /// never leak capacity.
 struct ConnectionSlot(Arc<AtomicUsize>);
@@ -548,6 +573,12 @@ fn accept_loop(
 /// most `min(read_timeout, time to the deadline)`, so both a silent
 /// keep-alive connection and a slow-loris drip-feed are answered `408`
 /// and closed at the same deadline (counted in `http_idle_closed`).
+///
+/// A request whose head arrives in one read costs at most two parser
+/// calls: one on that read (which enforces both size limits before
+/// anything more is buffered), and — if the body was not already in —
+/// one more when the declared `content-length` has been read, straight
+/// into buffer space sized for it.
 fn handle_connection(
     mut stream: TcpStream,
     server: &Arc<Server>,
@@ -555,57 +586,73 @@ fn handle_connection(
     _slot: ConnectionSlot,
 ) {
     let _ = stream.set_nodelay(true);
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
+    // `buf[..filled]` holds the bytes not yet parsed; the rest of `buf`
+    // is read space, grown (once) to a declared body's size.
+    let mut buf = vec![0u8; READ_WINDOW];
+    let mut filled = 0;
+    // Size of the request at the front of `buf`, once its head is in;
+    // until `filled` reaches it there is nothing new to parse.
+    let mut need = 0;
+    let mut armed_timeout = None;
     let mut idle_deadline = Instant::now() + config.idle_timeout;
     loop {
-        let parse_from = mfdfp_obs::now_ns();
-        let parsed = parse_request(&buf, config);
-        mfdfp_obs::record_complete(
-            "serve.http_parse",
-            buf.len() as u64,
-            parse_from,
-            mfdfp_obs::now_ns(),
-        );
-        match parsed {
-            Ok(Some((request, consumed))) => {
-                buf.drain(..consumed);
-                let reply = route(server, &request);
-                let keep_alive = reply.keep_alive;
-                if reply.write_to(&mut stream).is_err() || !keep_alive {
-                    return;
-                }
-                idle_deadline = Instant::now() + config.idle_timeout;
-            }
-            Ok(None) => {
-                let now = Instant::now();
-                if now >= idle_deadline {
-                    server.metrics_inner().record_http_idle_closed();
-                    let _ =
-                        Reply::error(408, "connection idle timeout", false).write_to(&mut stream);
-                    return;
-                }
-                let slice = config.read_timeout.min(idle_deadline - now);
-                let _ = stream.set_read_timeout(Some(slice.max(Duration::from_millis(1))));
-                match stream.read(&mut chunk) {
-                    Ok(0) => return,
-                    Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        // Read slice expired inside the idle window: loop
-                        // so the deadline check above decides.
+        if filled > 0 && filled >= need {
+            let parse_from = mfdfp_obs::now_ns();
+            let parsed = parse_request(&buf[..filled], config);
+            mfdfp_obs::record_complete(
+                "serve.http_parse",
+                filled as u64,
+                parse_from,
+                mfdfp_obs::now_ns(),
+            );
+            match parsed {
+                Ok(Some((request, consumed))) => {
+                    buf.copy_within(consumed..filled, 0);
+                    filled -= consumed;
+                    need = 0;
+                    let reply = route(server, &request);
+                    let keep_alive = reply.keep_alive;
+                    if reply.write_to(&mut stream).is_err() || !keep_alive {
+                        return;
                     }
-                    Err(_) => return,
+                    idle_deadline = Instant::now() + config.idle_timeout;
+                    continue;
+                }
+                Ok(None) => need = declared_total(&buf[..filled]).unwrap_or(0),
+                Err(e) => {
+                    let _ = Reply::error(e.status(), &e.to_string(), false).write_to(&mut stream);
+                    return;
                 }
             }
-            Err(e) => {
-                let _ = Reply::error(e.status(), &e.to_string(), false).write_to(&mut stream);
-                return;
-            }
+        }
+        let now = Instant::now();
+        if now >= idle_deadline {
+            server.metrics_inner().record_http_idle_closed();
+            let _ = Reply::error(408, "connection idle timeout", false).write_to(&mut stream);
+            return;
+        }
+        // One `setsockopt` per *change* of the slice, not per read: away
+        // from the idle deadline it is `read_timeout` every time.
+        let slice = config.read_timeout.min(idle_deadline - now).max(Duration::from_millis(1));
+        if armed_timeout != Some(slice) {
+            let _ = stream.set_read_timeout(Some(slice));
+            armed_timeout = Some(slice);
+        }
+        let want = if need > filled { need - filled } else { READ_WINDOW };
+        if buf.len() < filled + want {
+            buf.resize(filled + want, 0);
+        }
+        match stream.read(&mut buf[filled..filled + want]) {
+            Ok(0) => return,
+            Ok(n) => filled += n,
+            // Read slice expired inside the idle window: loop so the
+            // deadline check above decides.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            Err(_) => return,
         }
     }
 }
@@ -658,7 +705,10 @@ fn models_json(server: &Arc<Server>) -> String {
 fn infer(server: &Arc<Server>, model: &str, request: &HttpRequest) -> Reply {
     let keep_alive = request.keep_alive;
     let image = match parse_f32_array(&request.body) {
-        Ok(values) => mfdfp_tensor::Tensor::from_slice(&values),
+        Ok(values) => {
+            let len = values.len();
+            mfdfp_tensor::Tensor::from_vec(values, [len]).expect("1-D shape of the vector's length")
+        }
         Err(msg) => return Reply::error(400, &msg, keep_alive),
     };
     let mut opts = SubmitOptions::default();
@@ -852,6 +902,61 @@ mod tests {
         );
         assert_eq!(status_for(&ServeError::ShuttingDown).0, 503);
         assert_eq!(status_for(&ServeError::WorkerPanic).0, 500);
+    }
+
+    /// Records every `write` call it receives, whole.
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn reply_with_extra_headers_leaves_in_one_well_formed_write() {
+        let mut reply = Reply::error(503, "circuit open", true);
+        reply.headers.push(("retry-after", "3".to_string()));
+        reply.headers.push(("x-mfdfp-degraded", "1".to_string()));
+        let mut log = WriteLog(Vec::new());
+        reply.write_to(&mut log).unwrap();
+        assert_eq!(log.0.len(), 1, "head and body must share one write");
+        let message = String::from_utf8(log.0.remove(0)).unwrap();
+        let (head, body) = message.split_once("\r\n\r\n").expect("head terminator");
+        assert_eq!(body, reply.body);
+        let mut lines = head.split("\r\n");
+        assert_eq!(lines.next(), Some("HTTP/1.1 503 Service Unavailable"));
+        let headers: Vec<&str> = lines.collect();
+        let length = format!("content-length: {}", body.len());
+        for wanted in
+            ["retry-after: 3", "x-mfdfp-degraded: 1", "connection: keep-alive", length.as_str()]
+        {
+            assert!(headers.contains(&wanted), "missing {wanted:?} in {headers:?}");
+        }
+    }
+
+    #[test]
+    fn declared_total_agrees_with_the_parser() {
+        let body = [b'7'; 40];
+        let cases: [Vec<u8>; 3] = [
+            encode_request("POST", "/v1/infer/t", &[("x-mfdfp-priority", "high")], &body),
+            // Mixed case and padding; the first of two lengths wins.
+            [&b"POST /x HTTP/1.1\r\nContent-LENGTH:  40 \r\ncontent-length: 7\r\n\r\n"[..], &body]
+                .concat(),
+            encode_request("GET", "/v1/models", &[("content-length", "0")], b""),
+        ];
+        for bytes in &cases {
+            let (_, consumed) = parse_request(bytes, &cfg()).unwrap().unwrap();
+            let head_end = find_head_end(bytes).unwrap();
+            // From the head alone — the only state the handler asks in.
+            assert_eq!(declared_total(&bytes[..head_end]), Some(consumed));
+            assert_eq!(declared_total(&bytes[..head_end - 1]), None, "head not in yet");
+        }
+        assert_eq!(declared_total(b"GET / HTTP/1.1\r\nhost: x\r\n\r\n"), None);
     }
 
     /// Inverse of JSON string escaping for the escapes RFC 8259 defines.

@@ -26,11 +26,15 @@
 //!    overload surfaces as backpressure, not unbounded memory.
 //!    [`SubmitOptions`] attaches an optional deadline and a priority
 //!    lane ([`Priority::High`] dispatches ahead of throughput batches).
-//! 3. **Micro-batching** — shard workers pop a request and linger up to
-//!    [`ServeConfig::max_wait`] to coalesce up to
-//!    [`ServeConfig::max_batch`] requests, **shed** every request whose
-//!    deadline expired while it queued ([`ServeError::DeadlineExceeded`]
-//!    — zero datapath time spent), group by the resolved model's
+//! 3. **Micro-batching** — a shard worker that comes free takes what
+//!    is queued now, up to [`ServeConfig::max_batch`] requests, so
+//!    batches form from the backlog that accumulates while the previous
+//!    batch computes; it then holds an unfilled batch open for
+//!    [`ServeConfig::max_wait`] (default 1 ms; zero = work-conserving,
+//!    no request ever waits on a timer).
+//!    Workers **shed** every request whose deadline expired while it
+//!    queued ([`ServeError::DeadlineExceeded`] — zero datapath time
+//!    spent), group by the resolved model's
 //!    allocation identity (a batch never mixes two models or two
 //!    versions of one — the invariant behind zero-downtime
 //!    [`Server::swap_model`] hot swaps), and dispatch each group through

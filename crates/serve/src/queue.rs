@@ -2,9 +2,24 @@
 //!
 //! `std`-only (Mutex + Condvar): producers never block — a full queue
 //! rejects the push so admission control can surface backpressure to the
-//! client immediately — while consumers block, batch-aware: a consumer
-//! pops one item and then *lingers* up to a deadline to coalesce more,
-//! which is the heart of the micro-batcher.
+//! client immediately — while consumers block only on an *empty* queue.
+//!
+//! Batch formation is **work-conserving** when `max_wait == 0`. The
+//! invariant then: *a consumer never waits while an item it may take is
+//! queued.* A consumer that finds items takes what is queued now, up to
+//! `max`, and leaves; batches larger than one form from the backlog that
+//! accumulates while the previous batch computes, so batch size follows
+//! load by itself — one at idle, `max` at saturation — and an unloaded
+//! request never pays for company that is not coming. That path reads no
+//! clock and parks on no timer.
+//!
+//! Passing `max_wait > 0` adds a *linger* on top of the same first step:
+//! the consumer takes the backlog, then holds an unfilled batch open up
+//! to that long for late arrivals. It buys larger batches at low load
+//! and costs every such request up to `max_wait` of latency. The serve
+//! tier's default is a short linger ([`crate::ServeConfig::max_wait`]
+//! says why); the serve tests use long ones to force deterministic
+//! co-batching.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -34,9 +49,9 @@ pub enum PopTick<T> {
 
 struct Inner<T> {
     items: VecDeque<T>,
-    /// The latency-sensitive lane: popped before `items`, dispatched
-    /// without the linger window so priority requests never wait on a
-    /// throughput batch forming around them.
+    /// The latency-sensitive lane: popped before `items` and never
+    /// coalesced with them, so priority requests never ride in (or wait
+    /// on) a throughput batch forming around them.
     priority: VecDeque<T>,
     closed: bool,
 }
@@ -51,10 +66,9 @@ impl<T> Inner<T> {
 /// consumers and a priority lane.
 ///
 /// The capacity bound covers both lanes together (one admission-control
-/// budget), but consumers always drain the priority lane first — and a
-/// priority pop returns immediately instead of lingering to coalesce,
-/// which is what makes the lane useful for latency-sensitive batch-1
-/// requests.
+/// budget), but consumers always drain the priority lane first, and a
+/// priority batch never mixes with normal-lane items or lingers, which
+/// is what makes the lane useful for latency-sensitive batch-1 requests.
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
@@ -108,8 +122,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// [`BoundedQueue::try_push`] into the priority lane: the item is
-    /// popped before any normal-lane item, and the consumer that takes it
-    /// returns immediately instead of lingering for a batch.
+    /// popped before any normal-lane item, in a batch of priority items
+    /// only, and cuts a consumer's linger short.
     ///
     /// # Errors
     ///
@@ -142,13 +156,15 @@ impl<T> BoundedQueue<T> {
     /// queue is closed *and* drained, returning `None`).
     ///
     /// Priority-lane items win: if any are queued, up to `max` of them
-    /// are returned **immediately** — no linger window — so a
-    /// latency-sensitive request never waits for a throughput batch to
-    /// form. Otherwise the consumer pops normal-lane items and keeps
-    /// coalescing until the batch holds `max` items, `max_wait` has
-    /// elapsed since the first pop, or a priority item arrives (the
-    /// in-progress batch dispatches at once so the next pop can take the
-    /// priority item without waiting out the linger).
+    /// are returned, never mixed with normal-lane items. Otherwise the
+    /// consumer takes the normal-lane items queued *now*, up to `max`
+    /// (a `max` of zero is treated as one). With `max_wait == 0` it
+    /// returns them at once — work-conserving, no clock read. With
+    /// `max_wait > 0` an unfilled batch is held open (the linger)
+    /// until it holds `max` items, `max_wait` has elapsed, or a priority
+    /// item arrives (the in-progress batch dispatches at once so the
+    /// next pop can take the priority item without waiting out the
+    /// linger).
     ///
     /// After `close()`, queued items keep being returned until the queue
     /// drains — shutdown is graceful, not lossy.
@@ -201,8 +217,11 @@ impl<T> BoundedQueue<T> {
         max: usize,
         max_wait: Duration,
     ) -> Vec<T> {
+        // A zero `max` would return an empty batch and leave the items
+        // queued: a caller looping on empty batches would spin forever.
+        let max = max.max(1);
         if !inner.priority.is_empty() {
-            let take = max.max(1).min(inner.priority.len());
+            let take = max.min(inner.priority.len());
             let batch: Vec<T> = inner.priority.drain(..take).collect();
             if inner.len() > 0 {
                 drop(inner);
@@ -210,27 +229,23 @@ impl<T> BoundedQueue<T> {
             }
             return batch;
         }
-        let mut batch = Vec::with_capacity(max.min(inner.items.len()));
-        let deadline = Instant::now() + max_wait;
-        loop {
-            while batch.len() < max {
-                match inner.items.pop_front() {
-                    Some(item) => batch.push(item),
-                    None => break,
+        // Work-conserving: the backlog is the batch.
+        let take = max.min(inner.items.len());
+        let mut batch: Vec<T> = inner.items.drain(..take).collect();
+        // Only a positive `max_wait` lingers: at zero no clock is read
+        // and no timer is parked on.
+        if !max_wait.is_zero() {
+            let deadline = Instant::now() + max_wait;
+            while batch.len() < max && !inner.closed && inner.priority.is_empty() {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
                 }
-            }
-            if batch.len() >= max || inner.closed || !inner.priority.is_empty() {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) =
-                self.not_empty.wait_timeout(inner, deadline - now).expect("queue poisoned");
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                break;
+                let (guard, _) =
+                    self.not_empty.wait_timeout(inner, deadline - now).expect("queue poisoned");
+                inner = guard;
+                let take = (max - batch.len()).min(inner.items.len());
+                batch.extend(inner.items.drain(..take));
             }
         }
         // Items may remain (batch clipped at `max`, or a priority arrival
@@ -409,6 +424,89 @@ mod tests {
             PopTick::Batch(batch) => assert!(batch.contains(&42)),
             other => panic!("expected a batch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn zero_max_still_takes_an_item() {
+        // A `max` of zero used to return an empty batch with the item
+        // still queued, so a consumer looping on empty batches spun
+        // forever without serving it.
+        let q = BoundedQueue::new(4);
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
+        assert_eq!(q.pop_batch(0, Duration::ZERO), Some(vec![1]));
+        assert_eq!(
+            q.pop_batch_ticked(0, Duration::ZERO, Duration::from_secs(30)),
+            PopTick::Batch(vec![2])
+        );
+        q.try_push_priority(9).unwrap();
+        assert_eq!(q.pop_batch(0, Duration::ZERO), Some(vec![9]));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn leaving_at_once_loses_no_baton() {
+        // Two consumers, one item: whoever takes it leaves immediately
+        // with a batch of one (no linger, although `max` is 16), and the
+        // consumer still blocked must be woken by the next push.
+        let q = Arc::new(BoundedQueue::new(4));
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, start, tx) = (Arc::clone(&q), Arc::clone(&start), tx.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    tx.send(q.pop_batch(16, Duration::ZERO)).unwrap();
+                })
+            })
+            .collect();
+        start.wait();
+        for item in [1, 2] {
+            q.try_push(item).unwrap();
+            // A lost wake-up would park the second consumer forever; the
+            // timeout turns that hang into a failure.
+            let got = rx.recv_timeout(Duration::from_secs(30)).expect("a consumer must wake");
+            assert_eq!(got, Some(vec![item]));
+        }
+        for consumer in consumers {
+            consumer.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn the_backlog_is_the_batch() {
+        // While the consumer is busy (not in a pop) the producer queues
+        // `k` items; the next pop takes min(k, 16) of them in FIFO order
+        // at once and the pop after takes the remainder. Channel
+        // hand-offs order the two sides; nothing sleeps and nothing
+        // lingers.
+        let q = Arc::new(BoundedQueue::new(32));
+        let (busy_tx, busy_rx) = std::sync::mpsc::channel();
+        let (pushed_tx, pushed_rx) = std::sync::mpsc::channel();
+        const BURSTS: [usize; 4] = [1, 5, 16, 20];
+        let q2 = Arc::clone(&q);
+        let consumer = std::thread::spawn(move || {
+            for k in BURSTS {
+                busy_tx.send(()).unwrap();
+                pushed_rx.recv().unwrap();
+                let first = q2.pop_batch(16, Duration::ZERO).unwrap();
+                assert_eq!(first, (0..k.min(16)).collect::<Vec<_>>(), "burst of {k}");
+                if k > 16 {
+                    let rest = q2.pop_batch(16, Duration::ZERO).unwrap();
+                    assert_eq!(rest, (16..k).collect::<Vec<_>>(), "burst of {k}");
+                }
+                assert!(q2.is_empty());
+            }
+        });
+        for k in BURSTS {
+            busy_rx.recv().unwrap();
+            for i in 0..k {
+                q.try_push(i).unwrap();
+            }
+            pushed_tx.send(()).unwrap();
+        }
+        consumer.join().unwrap();
     }
 
     #[test]

@@ -70,13 +70,14 @@ impl Ticket {
 /// Scheduling class of a submission (see [`SubmitOptions::priority`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Priority {
-    /// Throughput lane: coalesces into micro-batches under the normal
-    /// `max_batch`/`max_wait` policy.
+    /// Throughput lane: batched with whatever else is queued when a
+    /// worker comes free, up to `max_batch`, plus whatever arrives
+    /// within the `max_wait` linger (none when it is zero).
     #[default]
     Normal,
-    /// Latency lane: bypasses batch coalescing — a worker that finds
-    /// priority work dispatches it immediately without lingering, and a
-    /// priority arrival cuts an open linger window short.
+    /// Latency lane: popped ahead of every normal-lane request and never
+    /// coalesced with them, so it overtakes a backlog instead of joining
+    /// it; a priority arrival also cuts a linger in progress short.
     High,
 }
 
@@ -124,12 +125,12 @@ pub(crate) struct Request {
 /// across [`ServeConfig::shards`] independent queue+pool units;
 /// [`Server::submit`] / [`Server::submit_with`] perform admission control
 /// (model resolution, input validation, per-model quota) and route to
-/// `hash(model) % shards`; workers coalesce requests into batches
-/// (bounded by `max_batch` / `max_wait`), shed the ones whose deadline
-/// already passed, and dispatch the rest through the batched integer
-/// datapath; [`Server::swap_model`] hot-swaps a model's weights with zero
-/// downtime; [`Server::shutdown`] (or drop) closes the queues, drains
-/// them and joins the workers.
+/// `hash(model) % shards`; workers take the queued backlog in batches
+/// (bounded by `max_batch`, held open at most `max_wait`), shed the
+/// requests whose deadline already passed, and dispatch the rest through the
+/// batched integer datapath; [`Server::swap_model`] hot-swaps a model's
+/// weights with zero downtime; [`Server::shutdown`] (or drop) closes the
+/// queues, drains them and joins the workers.
 pub struct Server {
     registry: Arc<ModelRegistry>,
     shards: Vec<Shard>,

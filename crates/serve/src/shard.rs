@@ -15,7 +15,7 @@
 //!   [`ServeError::WorkerPanic`] and the worker thread survives (no lock
 //!   is held across the unwind, so nothing is poisoned);
 //! * **priority lane** — the queue's priority lane is popped first and
-//!   dispatched immediately (see
+//!   never coalesced with normal-lane requests (see
 //!   [`BoundedQueue::pop_batch`](crate::BoundedQueue::pop_batch));
 //! * **supervision** — every worker publishes a heartbeat (nanoseconds
 //!   since the shard's origin instant, stored at the top of its loop;
@@ -185,9 +185,10 @@ impl Shard {
     }
 }
 
-/// Drains the queue until close-and-empty: pops coalesced batches, sheds
-/// expired requests, groups the rest per model, dispatches each group
-/// through the batched quantized forward, scatters responses.
+/// Drains the queue until close-and-empty: pops whatever backlog formed
+/// while the previous batch computed (up to `max_batch`), sheds expired
+/// requests, groups the rest per model, dispatches each group through
+/// the batched quantized forward, scatters responses.
 ///
 /// A batch holding a single model group — the common case — runs inline
 /// on this worker thread, against its warmed [`WorkerScratch`]. Only a
@@ -207,8 +208,9 @@ fn worker_loop(inner: &ShardInner, metrics: &ServerMetrics, cfg: &ServeConfig, b
         // dispatch stops beating and goes stale.
         beat.store(inner.now_ns(), Ordering::Relaxed);
         fault::maybe_worker_die();
-        // Batch formation spans the blocking pop + linger window, so the
-        // trace shows how long each worker spent coalescing vs idle.
+        // Batch formation spans the blocking pop plus the linger (none
+        // when `max_wait` is zero), so the trace shows how long each
+        // worker sat idle between dispatches.
         let formed_from = mfdfp_obs::now_ns();
         let batch =
             match inner.queue.pop_batch_ticked(cfg.max_batch, cfg.max_wait, cfg.supervise_interval)

@@ -39,31 +39,37 @@ fn roundtrip(stream: &mut TcpStream, bytes: &[u8]) -> (u16, String) {
 }
 
 fn read_response(stream: &mut TcpStream) -> (u16, String) {
+    read_responses(stream, 1).remove(0)
+}
+
+/// Reads `count` pipelined responses off one connection, in order.
+fn read_responses(stream: &mut TcpStream, count: usize) -> Vec<(u16, String)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4) {
-            let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-            let status: u16 = head.split(' ').nth(1).unwrap().parse().unwrap();
+    let mut out = Vec::new();
+    while out.len() < count {
+        let framed = buf.windows(4).position(|w| w == b"\r\n\r\n").and_then(|p| {
+            let head = String::from_utf8_lossy(&buf[..p]).to_ascii_lowercase();
             let length: usize = head
-                .to_ascii_lowercase()
                 .lines()
-                .find_map(|l| l.strip_prefix("content-length:").map(|v| v.trim().to_string()))
-                .unwrap()
+                .find_map(|l| l.strip_prefix("content-length:"))?
+                .trim()
                 .parse()
-                .unwrap();
-            while buf.len() < head_end + length {
-                let n = stream.read(&mut chunk).unwrap();
-                assert!(n > 0, "server closed mid-body");
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            let body = String::from_utf8_lossy(&buf[head_end..head_end + length]).into_owned();
-            return (status, body);
-        }
-        let n = stream.read(&mut chunk).unwrap();
-        assert!(n > 0, "server closed mid-head");
-        buf.extend_from_slice(&chunk[..n]);
+                .ok()?;
+            (buf.len() >= p + 4 + length).then_some((p + 4, p + 4 + length))
+        });
+        let Some((head_end, end)) = framed else {
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "server closed with {} of {count} responses sent", out.len());
+            buf.extend_from_slice(&chunk[..n]);
+            continue;
+        };
+        let status = String::from_utf8_lossy(&buf[..head_end]).split(' ').nth(1).unwrap().parse();
+        out.push((status.unwrap(), String::from_utf8_lossy(&buf[head_end..end]).into_owned()));
+        buf.drain(..end);
     }
+    assert!(buf.is_empty(), "bytes after the last response: {buf:?}");
+    out
 }
 
 /// Tears the tier down: stops the acceptor, waits for connection handler
@@ -405,6 +411,118 @@ fn health_and_ready_endpoints_serve_the_healing_surface() {
     let (status, _) = roundtrip(&mut stream, &encode_request("POST", "/v1/health", &[], b"{}"));
     assert_eq!(status, 405);
 
+    drop(stream);
+    finish(http, server);
+}
+
+fn assert_bit_exact(qnet: &QuantizedNet, img: &Tensor, response: &str) {
+    let direct = qnet.logits(img).unwrap();
+    let served = extract_logits(response);
+    assert_eq!(direct.as_slice().len(), served.len());
+    for (a, b) in direct.as_slice().iter().zip(&served) {
+        assert_eq!(a.to_bits(), b.to_bits(), "served logits not bit-exact");
+    }
+}
+
+/// However the request bytes are cut into reads — byte by byte, exactly
+/// at the head terminator, or two requests in one segment — the handler
+/// answers exactly as it does for one request per write.
+#[test]
+fn request_framing_does_not_depend_on_how_bytes_arrive() {
+    let qnet = tiny_qnet(37);
+    let (http, server) = start_http(&qnet, ServeConfig::default());
+    let mut rng = TensorRng::seed_from(41);
+    let imgs: Vec<Tensor> = (0..4).map(|_| rng.gaussian([3, 16, 16], 0.0, 0.7)).collect();
+    let requests: Vec<Vec<u8>> = imgs
+        .iter()
+        .map(|img| {
+            let body = format_f32_array(img.as_slice());
+            encode_request("POST", "/v1/infer/tiny", &[], body.as_bytes())
+        })
+        .collect();
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+
+    // 1-byte drips: head and body both arrive one byte per segment.
+    for byte in &requests[0] {
+        stream.write_all(std::slice::from_ref(byte)).unwrap();
+    }
+    let (status, response) = read_response(&mut stream);
+    assert_eq!(status, 200, "{response}");
+    assert_bit_exact(&qnet, &imgs[0], &response);
+
+    // Split exactly at the head terminator: the head is parsed alone,
+    // the body arrives afterwards (the pause makes that the likely
+    // arrival; the answer is the same either way).
+    let head_end = requests[1].windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+    stream.write_all(&requests[1][..head_end]).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    stream.write_all(&requests[1][head_end..]).unwrap();
+    let (status, response) = read_response(&mut stream);
+    assert_eq!(status, 200, "{response}");
+    assert_bit_exact(&qnet, &imgs[1], &response);
+
+    // Two pipelined requests in one write: two replies, in order.
+    stream.write_all(&[&requests[2][..], &requests[3][..]].concat()).unwrap();
+    let replies = read_responses(&mut stream, 2);
+    for ((status, response), img) in replies.iter().zip(&imgs[2..]) {
+        assert_eq!(*status, 200, "{response}");
+        assert_bit_exact(&qnet, img, response);
+    }
+
+    assert_eq!(server.metrics().completed, 4);
+    drop(stream);
+    finish(http, server);
+}
+
+#[test]
+fn body_limit_is_inclusive_and_enforced_from_the_declaration() {
+    let qnet = tiny_qnet(43);
+    let img = TensorRng::seed_from(47).gaussian([3, 16, 16], 0.0, 0.7);
+    let body = format_f32_array(img.as_slice());
+    let (http, server) =
+        start_http_with(&qnet, HttpConfig { max_body_bytes: body.len(), ..Default::default() });
+
+    // A body of exactly `max_body_bytes` is served.
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    let (status, response) =
+        roundtrip(&mut stream, &encode_request("POST", "/v1/infer/tiny", &[], body.as_bytes()));
+    assert_eq!(status, 200, "{response}");
+    assert_bit_exact(&qnet, &img, &response);
+    drop(stream);
+
+    // One byte more is refused from the head alone: no body byte is
+    // ever sent, so a handler that waited to read one would hang here.
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    let head =
+        format!("POST /v1/infer/tiny HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len() + 1);
+    let (status, response) = roundtrip(&mut stream, head.as_bytes());
+    assert_eq!(status, 413, "{response}");
+    assert_eq!(server.metrics().submitted, 1);
+    drop(stream);
+    finish(http, server);
+}
+
+/// A connection that never sends a byte is reaped like any other: the
+/// handler has nothing to parse, re-arms no socket timeout between its
+/// equal read slices, and still answers `408` at the idle deadline.
+#[test]
+fn silent_fresh_connection_is_reaped_at_the_idle_deadline() {
+    let qnet = tiny_qnet(53);
+    let (http, server) = start_http_with(
+        &qnet,
+        HttpConfig {
+            idle_timeout: Duration::from_millis(200),
+            read_timeout: Duration::from_millis(20),
+            ..Default::default()
+        },
+    );
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    let connected = std::time::Instant::now();
+    let (status, response) = read_response(&mut stream);
+    assert_eq!(status, 408, "{response}");
+    assert!(connected.elapsed() >= Duration::from_millis(150));
+    assert_eq!(server.metrics().http_idle_closed, 1);
     drop(stream);
     finish(http, server);
 }

@@ -497,3 +497,83 @@ fn snapshot_breaks_down_stages_models_ops_and_energy() {
     }
     server.shutdown();
 }
+
+/// Every knob at its default except the linger, which is off: the
+/// work-conserving configuration.
+fn no_linger() -> ServeConfig {
+    ServeConfig { max_wait: Duration::ZERO, ..ServeConfig::default() }
+}
+
+/// Work-conserving (`max_wait` zero): a lone closed-loop client never
+/// waits on a batch timer. Every dispatch is a batch of one, and the
+/// median queue wait sits in a sub-millisecond histogram bucket (under
+/// the 1 ms default linger it is at least 1024 µs).
+#[test]
+fn zero_linger_serves_a_lone_client_without_a_timer() {
+    let q = tiny_qnet(81);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("tiny", q.clone());
+    let server = Server::start(Arc::clone(&registry), no_linger()).unwrap();
+
+    for img in &images(64, 17) {
+        let response = server.submit("tiny", img.clone()).unwrap().wait().unwrap();
+        assert_eq!(response.batch_size, 1, "a lone client must never be held for company");
+        assert_eq!(bits(&response.logits), bits(&q.logits(img).unwrap()));
+    }
+    let snap = server.metrics();
+    assert_eq!(snap.stages.queue_wait.count, 64);
+    assert!(
+        snap.stages.queue_wait.p50_us < 1024.0,
+        "median queue wait {} µs: the zero-linger path is waiting on something",
+        snap.stages.queue_wait.p50_us
+    );
+    server.shutdown();
+}
+
+/// Batching under load survives without a timer: requests that queue up
+/// while the single worker is inside a dispatch leave together in the
+/// next one.
+#[test]
+fn zero_linger_batches_the_backlog_behind_a_dispatch() {
+    let q = tiny_qnet(83);
+    // A cifar10_quick-sized model: one dispatch of it holds the worker
+    // for far longer than the burst below takes to submit.
+    let blocker = {
+        let mut rng = TensorRng::seed_from(85);
+        let mut net = zoo::quick_custom(3, 32, [32, 32, 64], 64, 10, &mut rng).unwrap();
+        let x = rng.gaussian([2, 3, 32, 32], 0.0, 0.7);
+        let plan = calibrate(&mut net, &[(x, vec![0, 1])], 8).unwrap();
+        QuantizedNet::from_network(&net, &plan).unwrap()
+    };
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("tiny", q.clone());
+    registry.register("blocker", blocker);
+    let server = Server::start(Arc::clone(&registry), no_linger()).unwrap();
+
+    // Everything the burst needs exists before the worker is held.
+    let imgs = images(12, 29);
+    let burst = imgs.clone();
+    let held =
+        server.submit("blocker", TensorRng::seed_from(87).gaussian([3, 32, 32], 0.0, 0.7)).unwrap();
+    // The queue empties the moment the worker takes the blocker, i.e.
+    // as it enters the dispatch.
+    while server.metrics().queue_depth > 0 {
+        std::thread::yield_now();
+    }
+    let tickets: Vec<_> =
+        burst.into_iter().map(|img| server.submit("tiny", img).unwrap()).collect();
+
+    assert_eq!(held.wait().unwrap().batch_size, 1, "the first dispatch held only the blocker");
+    for (ticket, img) in tickets.into_iter().zip(&imgs) {
+        let response = ticket.wait().unwrap();
+        assert!(
+            response.batch_size > 1,
+            "a request queued behind a dispatch left alone (batch of {})",
+            response.batch_size
+        );
+        assert_eq!(bits(&response.logits), bits(&q.logits(img).unwrap()));
+    }
+    let snap = server.metrics();
+    assert_eq!((snap.completed, snap.failed), (13, 0));
+    server.shutdown();
+}

@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             workers: 1,
             queue_capacity: 256,
             max_batch: 8,
-            max_wait: Duration::from_millis(1),
             ..Default::default()
         },
     )?);

@@ -5,10 +5,13 @@
 //! cargo run --example serve_demo --release
 //! ```
 //!
-//! Four closed-loop clients fire requests at a one-worker server; the
-//! micro-batcher coalesces them into multi-image batches for the integer
-//! datapath, and the final metrics snapshot (JSON) shows the batch-size
-//! histogram, throughput and latency percentiles.
+//! Four closed-loop clients fire requests at a one-worker server with
+//! the batch linger switched off (`max_wait: Duration::ZERO`): whatever
+//! queues up while the worker computes one batch leaves together in the
+//! next, so multi-image batches for the integer datapath form from load
+//! alone, with no timer involved. The final metrics snapshot
+//! (JSON) shows the batch-size histogram, throughput and latency
+//! percentiles.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             workers: 1,
             queue_capacity: 64,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
+            max_wait: Duration::ZERO,
             ..Default::default()
         },
     )?);
