@@ -6,7 +6,7 @@
 //! FP32 baseline matches the paper's Table 1 (16.52 mm², 1361.61 mW). The
 //! MF-DFP and ensemble designs are then *predicted* from the same constants
 //! — the savings percentages are outputs of the model, not inputs
-//! (see DESIGN.md §3).
+//! (see PAPER_MAP.md, "§4 · Accelerator design").
 
 use serde::{Deserialize, Serialize};
 

@@ -1,5 +1,5 @@
 //! Ablation studies for the design choices the paper calls out
-//! (DESIGN.md §7):
+//! (PAPER_MAP.md, "§5 · Evaluation artifacts"):
 //!
 //! 1. deterministic vs stochastic weight quantization (paper §4.1 chose
 //!    deterministic);

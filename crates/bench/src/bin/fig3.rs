@@ -20,10 +20,10 @@ use mfdfp_tensor::TensorRng;
 
 fn main() {
     // The paper plots ImageNet; we use its synthetic stand-in with the
-    // reduced AlexNet-pattern network (DESIGN.md §3). The stand-in is made
-    // deliberately hard (high noise, large shifts) so the float network
-    // converges to a non-trivial error and quantization recovery is
-    // visible, as in the paper's plot.
+    // reduced AlexNet-pattern network (PAPER_MAP.md's introduction). The
+    // stand-in is made deliberately hard (high noise, large shifts) so
+    // the float network converges to a non-trivial error and quantization
+    // recovery is visible, as in the paper's plot.
     let mut spec = SynthSpec::imagenet(30, 23);
     spec.noise = 1.1;
     spec.max_shift = 4;

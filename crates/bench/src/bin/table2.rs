@@ -7,7 +7,7 @@
 //! cargo run -p mfdfp-bench --bin table2 --release
 //! ```
 //!
-//! Methodology (DESIGN.md §3, §5):
+//! Methodology:
 //! * **Time and energy** come from the exact paper topologies
 //!   (cifar10-full, ungrouped AlexNet) on the cycle scheduler and the
 //!   calibrated power model — no training involved.

@@ -8,9 +8,9 @@
 //! | `fig3`    | Figure 3 (fine-tuning curves) | `cargo run -p mfdfp-bench --bin fig3 --release` |
 //! | `table2`  | Table 2 (accuracy/time/energy) | `cargo run -p mfdfp-bench --bin table2 --release` |
 //! | `table3`  | Table 3 (parameter memory) | `cargo run -p mfdfp-bench --bin table3 --release` |
-//! | `ablations` | design-choice studies (DESIGN.md §7) | `cargo run -p mfdfp-bench --bin ablations --release` |
+//! | `ablations` | design-choice studies beyond the paper | `cargo run -p mfdfp-bench --bin ablations --release` |
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Performance is measured elsewhere: `perfbench/` + `BENCHMARK.json`.
 
 #![deny(missing_docs)]
 

@@ -307,8 +307,8 @@ fn from_image_is_zero_copy_and_o_layers() {
     // every weight and bias payload from the image buffer, so building a
     // servable network costs O(layers) *small* allocations — layer
     // structs, the name, the adder tree — and crucially cannot allocate
-    // anywhere near the payload size (which a copying deserialiser, like
-    // the v1 `from_bytes`, must).
+    // anywhere near the payload size (which a copying deserialiser
+    // must).
     let wide = wide_quantized_net(25);
     let image = std::sync::Arc::new(mfdfp_core::to_image(&wide));
     let payload = payload_bytes(&wide);

@@ -45,8 +45,7 @@
 //! layout of [`PackedPow2Matrix`] — `rows × row_stride` bytes with the
 //! stride recorded in the layer entry — so serialisation is a `memcpy`
 //! and deserialisation is a bounds check. No nibble is unpacked or
-//! re-packed on either side (the v1 stream format behind [`crate::from_bytes`]
-//! is kept for migration).
+//! re-packed on either side.
 //!
 //! # Integrity
 //!
@@ -54,9 +53,9 @@
 //! ([`mfdfp_dfp::crc32`]) plus the marker `"CRC1"`, verified by
 //! [`ImageView::open`] / [`ZooView::open`] before any byte is trusted:
 //! a torn write or a single flipped bit anywhere yields a typed
-//! [`CoreError::BadImage`]. Images written before checksums existed
-//! (both fields zero) are still accepted; any other marker value is
-//! itself corruption. [`write_image_atomic`] completes the story on
+//! [`CoreError::BadImage`]. Verification is unconditional: an image
+//! without the marker — zeroed, or any other value — is itself
+//! corruption. [`write_image_atomic`] completes the story on
 //! disk: tmp file + fsync + atomic rename, so readers only ever observe
 //! a complete image.
 //!
@@ -93,10 +92,9 @@ const HEADER_LEN: usize = 64;
 const LAYER_ENTRY_LEN: usize = 96;
 const ZOO_DIR_ENTRY_LEN: usize = 32;
 
-/// Marker bytes declaring that the header carries a CRC-32. A v2 image
-/// written before checksums leaves this field (and the CRC word) zero
-/// and is still accepted; any *other* value is corruption — so flipping
-/// a bit of the marker itself cannot silently disable the check.
+/// Marker bytes declaring that the header carries a CRC-32. Every writer
+/// stamps it and any other value is corruption — so neither flipping a
+/// bit of the marker nor zeroing it can switch the check off.
 const CRC_MARKER: [u8; 4] = *b"CRC1";
 /// Model header: CRC-32 word at 44..48, [`CRC_MARKER`] at 48..52.
 const IMAGE_CRC_OFF: usize = 44;
@@ -125,9 +123,8 @@ fn section_crc(img: &[u8], crc_off: usize) -> u32 {
 }
 
 /// Verifies the whole-section CRC of an image or zoo whose checksum word
-/// sits at `crc_off` (marker directly after it). Three-way rule:
-/// marker == `CRC1` → verify; marker and word both zero → legacy
-/// checksum-absent v2, accepted; anything else → corruption.
+/// sits at `crc_off` (marker directly after it). Unconditional: marker
+/// == `CRC1` → verify; anything else, zeros included → corruption.
 fn verify_crc(img: &[u8], crc_off: usize, what: &str) -> Result<()> {
     let marker = &img[crc_off + 4..crc_off + 8];
     if marker == CRC_MARKER {
@@ -138,9 +135,6 @@ fn verify_crc(img: &[u8], crc_off: usize, what: &str) -> Result<()> {
                 "{what} checksum mismatch: header says {stored:#010x}, bytes hash to {actual:#010x}"
             )));
         }
-        Ok(())
-    } else if marker == [0u8; 4] && u32_at(img, crc_off) == 0 {
-        // A v2 image written before checksums existed: both fields zero.
         Ok(())
     } else {
         Err(bad(format!("{what} checksum marker is corrupt")))

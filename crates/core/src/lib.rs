@@ -41,7 +41,6 @@
 #![deny(missing_docs)]
 
 mod analysis;
-mod deploy;
 mod ensemble;
 mod error;
 pub mod image;
@@ -52,7 +51,6 @@ mod quantize;
 mod shadow;
 
 pub use analysis::{exponent_histogram, quantization_errors, ExponentHistogram, LayerQuantError};
-pub use deploy::{from_bytes, to_bytes, MAGIC, VERSION};
 pub use ensemble::Ensemble;
 pub use error::{CoreError, Result};
 pub use image::{

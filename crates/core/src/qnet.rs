@@ -327,7 +327,8 @@ impl QuantizedNet {
     /// Slower by design. Kept as the bit-exactness oracle the packed hot
     /// path is property-tested against (`crates/core/tests/properties.rs`,
     /// `crates/accel/tests/qgemm_equivalence.rs`) and as the
-    /// decode-overhead baseline recorded in `BENCH_qgemm.json`.
+    /// decode-overhead baseline the benchmark reads as
+    /// `core.reference_forward_ms`.
     ///
     /// # Errors
     ///

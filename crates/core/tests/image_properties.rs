@@ -1,15 +1,12 @@
 //! Property-based tests of the v2 flat deployment image: the borrowed
 //! (zero-copy) construction path must be observationally identical to the
-//! owned path, v1 streams must migrate losslessly, and arbitrary
-//! corruption, truncation or misalignment must come back as typed
+//! owned path, and arbitrary corruption, truncation or misalignment must
+//! come back as typed
 //! [`CoreError::BadImage`] errors — never a panic, never undefined reads.
 
 use std::sync::Arc;
 
-use mfdfp_core::{
-    calibrate, from_bytes, to_bytes, to_image, CoreError, ImageView, QLayer, QuantizedNet,
-    ZooBuilder,
-};
+use mfdfp_core::{calibrate, to_image, CoreError, ImageView, QLayer, QuantizedNet, ZooBuilder};
 use mfdfp_dfp::AlignedBytes;
 use mfdfp_nn::zoo;
 use mfdfp_tensor::{Tensor, TensorRng};
@@ -60,21 +57,6 @@ proptest! {
         let mut rng = TensorRng::seed_from(seed ^ 0xD15EA5E);
         let img = rng.gaussian([3, 16, 16], 0.0, 0.7);
         prop_assert_eq!(logit_bits(&borrowed, &img), logit_bits(&owned, &img));
-    }
-
-    /// A v1 byte stream migrated through `from_bytes` → `to_image` →
-    /// `from_image` is equivalent to the original network.
-    #[test]
-    fn v1_stream_migrates_losslessly(seed in 0u64..1000) {
-        let owned = tiny_qnet(seed);
-        let v1 = from_bytes(&to_bytes(&owned)).unwrap();
-        let view = ImageView::open(Arc::new(to_image(&v1))).unwrap();
-        let migrated = QuantizedNet::from_image(&view).unwrap();
-
-        prop_assert_eq!(layer_payloads(&migrated), layer_payloads(&owned));
-        let mut rng = TensorRng::seed_from(seed.wrapping_mul(31));
-        let img = rng.gaussian([3, 16, 16], 0.0, 0.7);
-        prop_assert_eq!(logit_bits(&migrated, &img), logit_bits(&owned, &img));
     }
 
     /// Truncating an image anywhere is always detected as a typed error.
@@ -154,4 +136,41 @@ fn wrong_magic_and_version_are_rejected() {
         ImageView::open(Arc::new(AlignedBytes::from_slice(&bytes))),
         Err(CoreError::BadImage(_))
     ));
+}
+
+#[test]
+fn zeroed_checksum_is_rejected() {
+    // Blanking the CRC word (44..48), with or without its "CRC1" marker
+    // (48..52), must not switch verification off.
+    let image = to_image(&tiny_qnet(3));
+    for blank in [44..52, 44..48] {
+        let mut bytes = image.as_slice().to_vec();
+        bytes[blank].fill(0);
+        let opened = ImageView::open(Arc::new(AlignedBytes::from_slice(&bytes)));
+        assert!(matches!(opened, Err(CoreError::BadImage(_))));
+    }
+}
+
+#[test]
+fn image_is_compact() {
+    let net = tiny_qnet(8);
+    let (mut float_bytes, mut payload, mut weighted) = (0, 0, 0);
+    for layer in net.layers() {
+        let (w, bias) = match layer {
+            QLayer::Conv(c) => (&c.weights, &c.bias),
+            QLayer::Linear(l) => (&l.weights, &l.bias),
+            _ => continue,
+        };
+        float_bytes += w.count() * 4;
+        payload += w.rows() * w.row_stride() + 8 * bias.len();
+        weighted += 1;
+    }
+    let len = to_image(&net).len();
+    // Weights dominate and are nibble-packed: well under the float size.
+    assert!(len < float_bytes / 2, "{len} vs {float_bytes}");
+    // The rest is the header, the name, a 96-byte entry per layer and
+    // under 64 bytes of padding before each aligned section (two per
+    // weighted layer, the layer table, the tail).
+    let bound = 64 * (2 * weighted + 3) + 96 * net.layers().len() + net.name().len();
+    assert!(len - payload <= bound, "{} bytes of overhead, bound {bound}", len - payload);
 }

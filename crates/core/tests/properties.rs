@@ -1,8 +1,10 @@
 //! Property-based tests of the quantization pipeline: invariants that must
 //! hold for arbitrary network weights and calibration data.
 
+use std::sync::Arc;
+
 use mfdfp_core::{
-    build_working_net, calibrate, from_bytes, sync_quantized_params, to_bytes, QuantizedNet,
+    build_working_net, calibrate, sync_quantized_params, to_image, ImageView, QuantizedNet,
 };
 use mfdfp_dfp::Pow2Weight;
 use mfdfp_nn::layers::{Linear, Relu};
@@ -116,8 +118,8 @@ proptest! {
         let plan = calibrate(&mut net, &[(calib, vec![0, 1])], 8).unwrap();
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         let img = Tensor::from_slice(&xs);
-        let bytes = to_bytes(&q);
-        let back = from_bytes(&bytes).unwrap();
+        let view = ImageView::open(Arc::new(to_image(&q))).unwrap();
+        let back = QuantizedNet::from_image(&view).unwrap();
         prop_assert_eq!(q.forward_codes(&img).unwrap(), back.forward_codes(&img).unwrap());
     }
 

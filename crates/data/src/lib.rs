@@ -3,8 +3,8 @@
 //! The paper evaluates on CIFAR-10 and ImageNet 2012. Neither is available
 //! in this offline environment, so this crate provides seeded synthetic
 //! class-conditional image generators with the same tensor shapes and a
-//! tunable difficulty knob (DESIGN.md §3 documents the substitution and why
-//! it preserves the paper's *relative* claims).
+//! tunable difficulty knob (PAPER_MAP.md's introduction states the
+//! substitution and the *relative* claims it preserves).
 //!
 //! * [`SyntheticDataset`] / [`SynthSpec`] — class templates of random 2-D
 //!   sinusoids + shift/contrast jitter + Gaussian noise.

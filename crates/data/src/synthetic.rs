@@ -2,9 +2,10 @@
 //!
 //! Real CIFAR-10 / ImageNet files are unavailable offline, so the
 //! workspace substitutes seeded, class-conditional generators (see
-//! DESIGN.md §3). Each class owns a smooth random template built from a
-//! few 2-D sinusoids; a sample is its class template under a random
-//! spatial shift, contrast/brightness jitter and additive Gaussian noise.
+//! PAPER_MAP.md's introduction). Each class owns a smooth random template
+//! built from a few 2-D sinusoids; a sample is its class template under a
+//! random spatial shift, contrast/brightness jitter and additive Gaussian
+//! noise.
 //! The task is convolution-friendly (translation structure), non-trivial
 //! (jitter + noise + shift), and its difficulty is one knob
 //! ([`SynthSpec::noise`]).

@@ -73,7 +73,5 @@ pub use crc::{crc32, Crc32};
 pub use error::{DfpError, Result};
 pub use format::DfpFormat;
 pub use packed::PackedPow2Matrix;
-pub use pow2::{
-    pack_nibbles, quantize_weights, unpack_nibbles, Pow2Weight, Sign, EXP_MAX, EXP_MIN,
-};
+pub use pow2::{quantize_weights, Pow2Weight, Sign, EXP_MAX, EXP_MIN};
 pub use range::RangeStats;

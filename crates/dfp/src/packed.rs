@@ -3,7 +3,7 @@
 //! crate) consumes directly, with no per-element [`Pow2Weight`] decode.
 //!
 //! Each weight is the 4-bit hardware code of [`Pow2Weight::encode4`]; two
-//! codes share a byte (low nibble first, matching [`pack_nibbles`]).
+//! codes share a byte (low nibble first).
 //! **Every row starts on a byte boundary**: a row of odd length carries one
 //! zero pad nibble at its end, which consumers must skip — code `0`
 //! decodes to `+2^0 = +1`, not zero, so the pad nibble is *never* part of
@@ -14,19 +14,15 @@
 //! owned by the matrix or a shared window into a deployment image
 //! ([`PackedPow2Matrix::from_shared`]), so loading a model image lends its
 //! weight payload to the kernel with zero copies. The row stride may also
-//! exceed the minimal `ceil(cols/2)` ([`PackedPow2Matrix::from_weights_aligned`]
-//! pads it to 64 bytes), giving every row a cache-line-aligned start.
+//! exceed the minimal `ceil(cols/2)`
+//! ([`PackedPow2Matrix::from_weights_with_stride`]); an image records it
+//! per layer.
 
 use std::sync::Arc;
 
 use crate::aligned::AlignedBytes;
 use crate::error::{DfpError, Result};
 use crate::pow2::Pow2Weight;
-
-/// Row stride that starts every packed row on a 64-byte boundary.
-fn aligned_stride(cols: usize) -> usize {
-    cols.div_ceil(2).next_multiple_of(crate::aligned::ALIGN)
-}
 
 /// The byte region holding the packed nibbles: owned by this matrix or a
 /// window into a shared buffer (a deployment image).
@@ -85,18 +81,6 @@ impl PackedPow2Matrix {
     /// Returns [`DfpError::LengthMismatch`] if `ws.len() != rows * cols`.
     pub fn from_weights(rows: usize, cols: usize, ws: &[Pow2Weight]) -> Result<Self> {
         Self::from_weights_with_stride(rows, cols, cols.div_ceil(2), ws)
-    }
-
-    /// Packs `rows × cols` weights with every row start padded to a
-    /// 64-byte boundary — the layout aligned SIMD loads want. Costs up to
-    /// 63 bytes of zero padding per row, so the compact
-    /// [`PackedPow2Matrix::from_weights`] stays the deployment default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DfpError::LengthMismatch`] if `ws.len() != rows * cols`.
-    pub fn from_weights_aligned(rows: usize, cols: usize, ws: &[Pow2Weight]) -> Result<Self> {
-        Self::from_weights_with_stride(rows, cols, aligned_stride(cols), ws)
     }
 
     /// Packs `rows × cols` weights with an explicit row stride (bytes).
@@ -234,8 +218,8 @@ impl PackedPow2Matrix {
     }
 
     /// Unpacks every weight back to [`Pow2Weight`] values (row-major, pad
-    /// nibbles skipped) — the decode-based reference path and the
-    /// deployment serialiser use this; inference does not.
+    /// nibbles skipped) — the decode-based reference path uses this;
+    /// inference does not.
     pub fn to_weights(&self) -> Vec<Pow2Weight> {
         let mut out = Vec::with_capacity(self.count());
         for r in 0..self.rows {
@@ -281,7 +265,6 @@ impl Eq for PackedPow2Matrix {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pow2::pack_nibbles;
 
     fn weights(n: usize) -> Vec<Pow2Weight> {
         (0..n).map(|i| Pow2Weight::decode4((i % 16) as u8).unwrap()).collect()
@@ -310,10 +293,11 @@ mod tests {
     #[test]
     fn even_rows_match_flat_nibble_packing() {
         // With even cols there are no pad nibbles, so the buffer is exactly
-        // the flat pack_nibbles image.
+        // the flat image: two codes per byte, low nibble first.
         let ws = weights(4 * 6);
         let m = PackedPow2Matrix::from_weights(4, 6, &ws).unwrap();
-        assert_eq!(m.as_bytes(), pack_nibbles(&ws).as_slice());
+        let flat: Vec<u8> = ws.chunks(2).map(|p| (p[1].encode4() << 4) | p[0].encode4()).collect();
+        assert_eq!(m.as_bytes(), flat.as_slice());
     }
 
     #[test]
@@ -355,7 +339,9 @@ mod tests {
         for (rows, cols) in [(1usize, 1usize), (3, 5), (4, 6), (2, 129)] {
             let ws = weights(rows * cols);
             let compact = PackedPow2Matrix::from_weights(rows, cols, &ws).unwrap();
-            let aligned = PackedPow2Matrix::from_weights_aligned(rows, cols, &ws).unwrap();
+            let stride = cols.div_ceil(2).next_multiple_of(64);
+            let aligned =
+                PackedPow2Matrix::from_weights_with_stride(rows, cols, stride, &ws).unwrap();
             assert_eq!(aligned.row_stride() % 64, 0);
             assert_eq!(aligned.row_payload_bytes(), compact.row_stride());
             assert_eq!(aligned, compact, "rows={rows} cols={cols}");

@@ -198,38 +198,6 @@ pub fn quantize_weights(ws: &[f32]) -> Vec<Pow2Weight> {
     ws.iter().map(|&w| Pow2Weight::from_f32(w)).collect()
 }
 
-/// Packs a slice of weights into 4-bit codes, two per byte (low nibble
-/// first). The final byte of an odd-length slice has a zero high nibble.
-pub fn pack_nibbles(ws: &[Pow2Weight]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ws.len().div_ceil(2));
-    for pair in ws.chunks(2) {
-        let lo = pair[0].encode4();
-        let hi = if pair.len() == 2 { pair[1].encode4() } else { 0 };
-        out.push((hi << 4) | lo);
-    }
-    out
-}
-
-/// Unpacks `count` weights from nibble-packed bytes (inverse of
-/// [`pack_nibbles`]).
-///
-/// # Errors
-///
-/// Returns [`DfpError::LengthMismatch`] only if `count` exceeds the packed
-/// capacity.
-pub fn unpack_nibbles(bytes: &[u8], count: usize) -> Result<Vec<Pow2Weight>> {
-    if count > bytes.len() * 2 {
-        return Err(DfpError::LengthMismatch { expected: count, actual: bytes.len() * 2 });
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let byte = bytes[i / 2];
-        let nibble = if i % 2 == 0 { byte & 0xF } else { byte >> 4 };
-        out.push(Pow2Weight::decode4(nibble)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,11 +325,10 @@ mod tests {
             .iter()
             .map(|&w| Pow2Weight::from_f32(w))
             .collect();
-        let packed = pack_nibbles(&ws);
-        assert_eq!(packed.len(), 4); // ceil(7/2)
-        let back = unpack_nibbles(&packed, ws.len()).unwrap();
-        assert_eq!(back, ws);
-        assert!(unpack_nibbles(&packed, 9).is_err());
+        let packed = crate::PackedPow2Matrix::from_weights(1, ws.len(), &ws).unwrap();
+        assert_eq!(packed.as_bytes().len(), 4); // ceil(7/2)
+        assert_eq!(packed.to_weights(), ws);
+        assert!(crate::PackedPow2Matrix::from_weights(1, 9, &ws).is_err());
     }
 
     #[test]

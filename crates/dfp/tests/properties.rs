@@ -3,8 +3,8 @@
 //! datapath) silently relies on.
 
 use mfdfp_dfp::{
-    fits_in_bits, pack_nibbles, realign, saturate, shift_round, unpack_nibbles, Accumulator,
-    AdderTree, DfpFormat, Pow2Weight, RangeStats, EXP_MAX, EXP_MIN, PRODUCT_BITS,
+    fits_in_bits, realign, saturate, shift_round, Accumulator, AdderTree, DfpFormat,
+    PackedPow2Matrix, Pow2Weight, RangeStats, EXP_MAX, EXP_MIN, PRODUCT_BITS,
 };
 use proptest::prelude::*;
 
@@ -79,10 +79,9 @@ proptest! {
     #[test]
     fn nibble_pack_round_trip(ws in proptest::collection::vec(-1.0f32..1.0, 0..64)) {
         let qs: Vec<Pow2Weight> = ws.iter().map(|&w| Pow2Weight::from_f32(w)).collect();
-        let packed = pack_nibbles(&qs);
-        prop_assert_eq!(packed.len(), qs.len().div_ceil(2));
-        let back = unpack_nibbles(&packed, qs.len()).unwrap();
-        prop_assert_eq!(back, qs);
+        let packed = PackedPow2Matrix::from_weights(1, qs.len(), &qs).unwrap();
+        prop_assert_eq!(packed.as_bytes().len(), qs.len().div_ceil(2));
+        prop_assert_eq!(packed.to_weights(), qs);
     }
 
     /// Odd-count nibble packing: the final byte's high nibble is the zero
@@ -106,18 +105,13 @@ proptest! {
             qs.push(corner(tail)); // force an odd count
         }
         prop_assert_eq!(qs.len() % 2, 1);
-        let packed = pack_nibbles(&qs);
-        prop_assert_eq!(packed.len(), qs.len() / 2 + 1);
+        let packed = PackedPow2Matrix::from_weights(1, qs.len(), &qs).unwrap();
+        let bytes = packed.as_bytes();
+        prop_assert_eq!(bytes.len(), qs.len() / 2 + 1);
         // The pad nibble must be zero so deployment images are
         // deterministic byte-for-byte.
-        prop_assert_eq!(packed[packed.len() - 1] >> 4, 0);
-        let back = unpack_nibbles(&packed, qs.len()).unwrap();
-        prop_assert_eq!(back, qs);
-        // Asking for one more weight than was packed reads the pad nibble
-        // (code 0 ⇒ +2^0), never out of bounds; one past capacity errors.
-        let over = unpack_nibbles(&packed, qs.len() + 1).unwrap();
-        prop_assert_eq!(over[qs.len()], Pow2Weight::new(mfdfp_dfp::Sign::Plus, 0).unwrap());
-        prop_assert!(unpack_nibbles(&packed, packed.len() * 2 + 1).is_err());
+        prop_assert_eq!(bytes[bytes.len() - 1] >> 4, 0);
+        prop_assert_eq!(packed.to_weights(), qs);
     }
 
     /// The adder tree computes the exact integer sum for any products that

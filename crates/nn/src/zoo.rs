@@ -6,8 +6,7 @@
 //! * [`alexnet`] — AlexNet (reference \[20\]) with LRN layers removed, as the
 //!   paper does ("we remove all local response normalization layers").
 //!   Convolutions are ungrouped (single-GPU formulation), which slightly
-//!   increases the parameter count over the grouped Caffe model; DESIGN.md
-//!   documents the substitution.
+//!   increases the parameter count over the grouped Caffe model.
 //! * [`quick_custom`] / [`alexnet_like_small`] — reduced-width variants
 //!   with the same layer *pattern*, used where full-scale CPU training
 //!   would be infeasible (accuracy curves, tests).

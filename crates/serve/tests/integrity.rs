@@ -12,11 +12,11 @@
 use std::sync::Arc;
 
 use mfdfp_core::{
-    calibrate, to_image, write_image_atomic, AlignedBytes, ImageView, QuantizedNet, ZooBuilder,
-    ZooView,
+    calibrate, to_image, write_image_atomic, AlignedBytes, CoreError, ImageView, QuantizedNet,
+    ZooBuilder, ZooView,
 };
 use mfdfp_nn::zoo;
-use mfdfp_serve::{ModelRegistry, ServeConfig, Server};
+use mfdfp_serve::{ModelRegistry, ServeConfig, ServeError, Server};
 use mfdfp_tensor::{Tensor, TensorRng};
 
 /// A small calibrated MF-DFP network (3×16×16 input, 10 classes).
@@ -32,14 +32,12 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-fn two_model_zoo() -> (Vec<(String, QuantizedNet)>, Vec<u8>) {
-    let nets: Vec<(String, QuantizedNet)> =
-        (0..2u64).map(|i| (format!("m{i}"), tiny_qnet(300 + i))).collect();
+fn two_model_zoo() -> Vec<u8> {
     let mut builder = ZooBuilder::new();
-    for (name, net) in &nets {
-        builder.push(name, net);
+    for i in 0..2u64 {
+        builder.push(&format!("m{i}"), &tiny_qnet(300 + i));
     }
-    (nets, builder.finish().as_slice().to_vec())
+    builder.finish().as_slice().to_vec()
 }
 
 /// The proptest: flip one byte (every offset in the headers/directory,
@@ -49,7 +47,7 @@ fn two_model_zoo() -> (Vec<(String, QuantizedNet)>, Vec<u8>) {
 /// are no survivable offsets to carve out.
 #[test]
 fn any_single_byte_flip_in_a_zoo_is_rejected_typed() {
-    let (_, bytes) = two_model_zoo();
+    let bytes = two_model_zoo();
     // Every byte of the first 256 (zoo header + directory + the first
     // model's header — the parsing-sensitive region), then a stride
     // through the weight payload, then the tail.
@@ -89,32 +87,20 @@ fn single_byte_flip_in_a_model_image_is_rejected_typed() {
     }
 }
 
-/// Backward compatibility: a pre-checksum v2 image leaves the CRC word
-/// and marker zero; such images still load, and serve bit-identically.
+/// The checksum cannot be switched off: zeroing the zoo's CRC word
+/// (32..36), with or without its "CRC1" marker (36..40), is a typed load
+/// error that registers nothing. The single-byte fuzz above cannot reach
+/// this case: it takes eight zeroed bytes.
 #[test]
-fn legacy_unchecksummed_zoo_still_loads_and_serves_bit_exact() {
-    let (nets, mut bytes) = two_model_zoo();
-    // Zero the zoo-level CRC word (32..36) and marker (36..40): the
-    // legacy layout. The embedded model images keep their own CRCs.
-    bytes[32..40].fill(0);
-
-    let registry = Arc::new(ModelRegistry::new());
-    let names = registry.load_zoo_bytes(&bytes).unwrap();
-    assert_eq!(names, vec!["m0", "m1"]);
-
-    let server = Server::start(Arc::clone(&registry), ServeConfig::default()).unwrap();
-    let img = TensorRng::seed_from(9).gaussian([3, 16, 16], 0.0, 0.7);
-    for (name, net) in &nets {
-        let response = server.submit(name, img.clone()).unwrap().wait().unwrap();
-        assert_eq!(bits(&response.logits), bits(&net.logits(&img).unwrap()));
+fn zeroed_checksum_zoo_is_rejected_typed() {
+    for blank in [32..40, 32..36] {
+        let mut bytes = two_model_zoo();
+        bytes[blank].fill(0);
+        let registry = ModelRegistry::new();
+        let loaded = registry.load_zoo_bytes(&bytes);
+        assert!(matches!(loaded, Err(ServeError::Inference(CoreError::BadImage(_)))));
+        assert!(registry.is_empty());
     }
-    server.shutdown();
-
-    // But once stamped, the marker makes verification mandatory: a
-    // zeroed word *with* the marker present must be rejected.
-    let (_, mut stamped) = two_model_zoo();
-    stamped[32..36].fill(0); // word zeroed, marker "CRC1" intact
-    assert!(ModelRegistry::new().load_zoo_bytes(&stamped).is_err());
 }
 
 /// Crash-safe publication: while a writer repeatedly rewrites the zoo
@@ -194,7 +180,7 @@ fn corrupt_reload_keeps_serving_the_previous_version() {
     assert_eq!(before.version, 1);
 
     // An operator pushes a corrupted replacement zoo (same model name).
-    let (_, mut bytes) = two_model_zoo();
+    let mut bytes = two_model_zoo();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     assert!(registry.load_zoo_bytes(&bytes).is_err(), "corrupt zoo must be rejected");

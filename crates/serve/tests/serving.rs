@@ -577,3 +577,48 @@ fn zero_linger_batches_the_backlog_behind_a_dispatch() {
     assert_eq!((snap.completed, snap.failed), (13, 0));
     server.shutdown();
 }
+
+/// Served traffic reaches the flight recorder: every serve stage and the
+/// datapath nested under `serve.infer` record spans, and a real dump
+/// exports as well-formed Chrome JSON.
+#[cfg(feature = "obs")]
+#[test]
+fn served_requests_reach_the_flight_recorder() {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("tiny", tiny_qnet(5));
+    let server = Server::start(Arc::clone(&registry), no_linger()).unwrap();
+    std::thread::scope(|s| {
+        for c in 0..2 {
+            let server = &server;
+            s.spawn(move || {
+                for img in images(4, 60 + c) {
+                    server.submit("tiny", img).unwrap().wait().unwrap();
+                }
+            });
+        }
+    });
+    server.shutdown(); // publishes the worker's last spans
+
+    let events = mfdfp_obs::dump();
+    let labels = "serve.submit serve.batch_form serve.queue_wait serve.infer serve.respond \
+                  qnet.conv conv.im2col_batched";
+    for label in labels.split(' ') {
+        assert!(events.iter().any(|e| e.label == label), "no {label} event recorded");
+    }
+    // The recorder is process-wide, so this also sees the other tests'
+    // servers; the nesting holds for each of them as long as no ring
+    // wraps (4096 events; the busiest worker in this file records < 1000).
+    for infer in events.iter().filter(|e| e.label == "serve.infer") {
+        let end = infer.start_ns + infer.dur_ns;
+        let nested = events.iter().any(|e| {
+            e.thread == infer.thread
+                && e.label.starts_with("qnet.")
+                && e.start_ns >= infer.start_ns
+                && e.start_ns + e.dur_ns <= end
+        });
+        assert!(nested, "serve.infer on ring {} encloses no qnet.* span", infer.thread);
+    }
+    let json = mfdfp_obs::chrome_trace_json(&events);
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    assert_eq!(json.matches("\"ph\":\"X\"").count(), events.len());
+}

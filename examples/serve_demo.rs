@@ -12,6 +12,10 @@
 //! alone, with no timer involved. The final metrics snapshot
 //! (JSON) shows the batch-size histogram, throughput and latency
 //! percentiles.
+//!
+//! With a path argument (`… --features obs -- trace.json`) the flight
+//! recorder is drained after shutdown into a Chrome trace-event file for
+//! <https://ui.perfetto.dev>; without `obs` its event list is empty.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -98,6 +102,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("metrics JSON: {}", snap.to_json());
 
+    // Shut down before draining the flight recorder, so the worker's
+    // final spans are published before the dump.
     Arc::try_unwrap(server).ok().expect("clients joined").shutdown();
+    if let Some(path) = std::env::args().nth(1) {
+        let events = mfdfp::obs::dump();
+        std::fs::write(&path, mfdfp::obs::chrome_trace_json(&events))?;
+        println!("wrote {path} ({} events)", events.len());
+    }
     Ok(())
 }

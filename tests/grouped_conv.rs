@@ -2,8 +2,10 @@
 //! quantization, integer inference, deployment round-trip and scheduling —
 //! exercising the AlexNet dual-GPU layer structure end to end.
 
+use std::sync::Arc;
+
 use mfdfp::accel::{schedule_network, AcceleratorConfig, DmaModel};
-use mfdfp::core::{calibrate, from_bytes, to_bytes, QuantizedNet};
+use mfdfp::core::{calibrate, to_image, ImageView, QuantizedNet};
 use mfdfp::data::{Batcher, Split, SynthSpec};
 use mfdfp::nn::layers::{Conv2d, Flatten, Linear, Pool, Relu};
 use mfdfp::nn::{evaluate, train_epoch, Layer, Network, Phase, Sgd, SgdConfig};
@@ -77,8 +79,8 @@ fn grouped_net_trains_quantizes_and_deploys() {
     let _ = labels;
 
     // Deployment image round-trips bit-exactly.
-    let bytes = to_bytes(&qnet);
-    let back = from_bytes(&bytes).unwrap();
+    let view = ImageView::open(Arc::new(to_image(&qnet))).unwrap();
+    let back = QuantizedNet::from_image(&view).unwrap();
     let img = x.index_axis0(0);
     assert_eq!(qnet.forward_codes(&img).unwrap(), back.forward_codes(&img).unwrap());
 
