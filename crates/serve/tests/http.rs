@@ -139,7 +139,7 @@ fn error_paths_map_to_typed_statuses() {
     let (status, response) =
         roundtrip(&mut connect(), &encode_request("POST", "/v1/infer/ghost", &[], body.as_bytes()));
     assert_eq!(status, 404, "{response}");
-    assert!(response.contains("\"error\""));
+    assert_eq!(response, r#"{"error":"no model named \"ghost\" is registered"}"#);
 
     // Wrong input size → 400 with the model's expectation in the message.
     let (status, response) =
@@ -153,8 +153,8 @@ fn error_paths_map_to_typed_statuses() {
     assert_eq!(status, 400, "{response}");
 
     // Unknown route → 404; wrong method → 405.
-    let (status, _) = roundtrip(&mut connect(), &encode_request("GET", "/nope", &[], b""));
-    assert_eq!(status, 404);
+    let (status, response) = roundtrip(&mut connect(), &encode_request("GET", "/nope", &[], b""));
+    assert_eq!((status, response.as_str()), (404, r#"{"error":"unknown route"}"#));
     let (status, _) = roundtrip(&mut connect(), &encode_request("GET", "/v1/infer/tiny", &[], b""));
     assert_eq!(status, 405);
     let (status, _) = roundtrip(&mut connect(), &encode_request("POST", "/v1/metrics", &[], b"x"));
@@ -235,8 +235,10 @@ fn metrics_and_models_endpoints_serve_json() {
 
     let (status, body) = roundtrip(&mut stream, &encode_request("GET", "/v1/models", &[], b""));
     assert_eq!(status, 200);
-    assert!(body.contains("{\"name\":\"tiny\",\"version\":1}"), "{body}");
-    assert!(body.contains("{\"name\":\"second\",\"version\":2}"), "{body}");
+    assert_eq!(
+        body, r#"{"models":[{"name":"second","version":2},{"name":"tiny","version":1}]}"#,
+        "golden bytes: names sorted, each with its current version"
+    );
 
     // Serve one request, then the metrics document must reflect it.
     let mut rng = TensorRng::seed_from(7);
