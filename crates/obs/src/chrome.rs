@@ -2,12 +2,13 @@
 //! "JSON trace" format): one complete (`"ph":"X"`) event per recorded
 //! span, timestamps in microseconds with nanosecond fractions.
 //!
-//! Hand-rolled like `MetricsSnapshot::to_json` — the vendored `serde`
-//! shim does not serialize. The output loads directly in
+//! Rendered with the crate's [`json`](crate::json) writer — the vendored
+//! `serde` shim does not serialize. The output loads directly in
 //! <https://ui.perfetto.dev> (or `chrome://tracing`): one track per
 //! recorded thread, span labels as slice names, the `u64` argument under
 //! `args.arg`.
 
+use crate::json::{self, JsonWriter};
 use crate::TraceEvent;
 
 /// Serializes `events` (as returned by [`crate::dump`]) into a
@@ -21,54 +22,38 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     threads.sort_unstable();
     threads.dedup();
 
-    let mut out = String::with_capacity(128 + 24 * threads.len() + 112 * events.len());
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    for tid in &threads {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"ring-{tid}\"}}}}"
-        ));
-    }
-    for e in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-             \"ts\":{}.{:03},\"dur\":{}.{:03},\"args\":{{\"arg\":{}}}}}",
-            escape(e.label),
-            e.thread,
-            e.start_ns / 1000,
-            e.start_ns % 1000,
-            e.dur_ns / 1000,
-            e.dur_ns % 1000,
-            e.arg,
-        ));
-    }
-    out.push_str("]}");
-    out
+    json::object(|w| {
+        w.key("displayTimeUnit").str("ns");
+        w.key("traceEvents").array(|w| {
+            for tid in threads {
+                w.object(|w| {
+                    event_head(w, "thread_name", "M", tid);
+                    w.key("args").object(|w| w.key("name").str(&format!("ring-{tid}")));
+                });
+            }
+            for e in events {
+                w.object(|w| {
+                    event_head(w, e.label, "X", e.thread);
+                    w.key("ts").raw(micros(e.start_ns));
+                    w.key("dur").raw(micros(e.dur_ns));
+                    w.key("args").object(|w| w.key("arg").raw(e.arg));
+                });
+            }
+        });
+    })
 }
 
-/// Minimal JSON string escaping. Span labels are static identifiers the
-/// instrumentation sites control, but the exporter stays correct for any
-/// `&'static str`.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// The members every trace event starts with.
+fn event_head(w: &mut JsonWriter, name: &str, phase: &str, tid: u64) {
+    w.key("name").str(name);
+    w.key("ph").str(phase);
+    w.key("pid").raw(1);
+    w.key("tid").raw(tid);
+}
+
+/// Nanoseconds as a microsecond number with a 3-digit fraction.
+fn micros(ns: u64) -> String {
+    format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
 #[cfg(test)]
@@ -91,9 +76,18 @@ mod tests {
         assert!(json.contains("\"args\":{\"arg\":7}"), "{json}");
         // Track metadata for both rings.
         assert!(json.contains("\"name\":\"ring-0\"") && json.contains("\"name\":\"ring-2\""));
-        // Cheap well-formedness: balanced delimiters.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // The whole document, byte for byte.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ns","traceEvents":["#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"ring-0"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"ring-2"}},"#,
+                r#"{"name":"qnet.conv","ph":"X","pid":1,"tid":0,"ts":1234.567,"dur":0.890,"#,
+                r#""args":{"arg":7}},"#,
+                r#"{"name":"b","ph":"X","pid":1,"tid":2,"ts":0.005,"dur":0.000,"args":{"arg":7}}]}"#,
+            )
+        );
     }
 
     #[test]
@@ -103,6 +97,7 @@ mod tests {
 
     #[test]
     fn escapes_hostile_labels() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        let json = chrome_trace_json(&[ev("a\"b\\c\nd", 0, 0, 0)]);
+        assert!(json.contains("\"name\":\"a\\\"b\\\\c\\u000ad\""), "{json}");
     }
 }

@@ -34,6 +34,9 @@
 //!   on their first event and stay registered after exit), and [`dump`]
 //!   merges every ring into one timestamp-ordered event list.
 //!
+//! The [`json`] writer (plain code, present in every build) renders the
+//! trace export and every JSON body the serve tier answers with.
+//!
 //! ## Example
 //!
 //! ```
@@ -54,6 +57,7 @@
 #![forbid(unsafe_op_in_unsafe_fn)]
 
 mod chrome;
+pub mod json;
 pub mod ops;
 mod recorder;
 

@@ -21,9 +21,8 @@
 //!
 //! [`ServeError::CircuitOpen`]: crate::ServeError::CircuitOpen
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::config::BreakerConfig;
@@ -151,9 +150,9 @@ impl CircuitBreaker {
     }
 
     /// A dispatch for this model failed (worker panic or inference
-    /// error). Returns whether this failure (re-)opened the circuit, so
-    /// the caller can count opens exactly once.
-    pub(crate) fn record_failure(&self, now: Instant) -> bool {
+    /// error). A failure that (re-)opens the circuit counts in
+    /// [`CircuitBreaker::opens`].
+    pub(crate) fn record_failure(&self, now: Instant) {
         let mut s = self.state.lock().expect("breaker poisoned");
         s.consecutive_failures = s.consecutive_failures.saturating_add(1);
         let opened = match s.kind {
@@ -182,7 +181,12 @@ impl CircuitBreaker {
         if opened {
             self.opens.fetch_add(1, Ordering::Relaxed);
         }
-        opened
+    }
+
+    /// How many times this circuit has (re-)opened; the server's
+    /// `breaker_opens` is the sum over models.
+    pub(crate) fn opens(&self) -> u64 {
+        self.opens.load(Ordering::Relaxed)
     }
 
     /// A request left the tier without a dispatch outcome (shed at its
@@ -203,43 +207,8 @@ impl CircuitBreaker {
             consecutive_failures: s.consecutive_failures,
             retry_in: (s.kind == BreakerState::Open && s.open_until > now)
                 .then(|| s.open_until - now),
-            opens: self.opens.load(Ordering::Relaxed),
+            opens: self.opens(),
         }
-    }
-}
-
-/// The server's name → breaker map, created lazily per model on first
-/// admission (mirroring the per-model metrics map).
-#[derive(Debug)]
-pub(crate) struct BreakerBoard {
-    cfg: BreakerConfig,
-    breakers: RwLock<HashMap<String, Arc<CircuitBreaker>>>,
-}
-
-impl BreakerBoard {
-    pub(crate) fn new(cfg: BreakerConfig) -> Self {
-        BreakerBoard { cfg, breakers: RwLock::new(HashMap::new()) }
-    }
-
-    /// The breaker for `name`, created closed on first use.
-    pub(crate) fn get(&self, name: &str) -> Arc<CircuitBreaker> {
-        if let Some(b) = self.breakers.read().expect("breakers poisoned").get(name) {
-            return Arc::clone(b);
-        }
-        let mut map = self.breakers.write().expect("breakers poisoned");
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(CircuitBreaker::new(self.cfg.clone()))),
-        )
-    }
-
-    /// Every model's breaker snapshot, sorted by name (health surface).
-    pub(crate) fn snapshot(&self, now: Instant) -> Vec<(String, BreakerSnapshot)> {
-        let map = self.breakers.read().expect("breakers poisoned");
-        let mut out: Vec<(String, BreakerSnapshot)> =
-            map.iter().map(|(name, b)| (name.clone(), b.snapshot(now))).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 }
 
@@ -261,13 +230,15 @@ mod tests {
         let b = CircuitBreaker::new(cfg());
         let t0 = Instant::now();
         assert_eq!(b.try_admit(t0), Admission::Allowed);
-        assert!(!b.record_failure(t0));
-        assert!(!b.record_failure(t0));
+        b.record_failure(t0);
+        b.record_failure(t0);
         // A success resets the streak: failures must be *consecutive*.
         b.record_success();
-        assert!(!b.record_failure(t0));
-        assert!(!b.record_failure(t0));
-        assert!(b.record_failure(t0), "third consecutive failure must open");
+        b.record_failure(t0);
+        b.record_failure(t0);
+        assert_eq!(b.opens(), 0, "two consecutive failures must not open");
+        b.record_failure(t0);
+        assert_eq!(b.opens(), 1, "third consecutive failure must open");
         match b.try_admit(t0) {
             Admission::Rejected { retry_after } => {
                 assert!(retry_after <= Duration::from_millis(100));
@@ -313,7 +284,9 @@ mod tests {
         for expect_ms in [200u64, 350, 350] {
             now += Duration::from_millis(500);
             assert_eq!(b.try_admit(now), Admission::Allowed, "probe must be admitted");
-            assert!(b.record_failure(now), "failed probe must re-open");
+            let opens = b.opens();
+            b.record_failure(now);
+            assert_eq!(b.opens(), opens + 1, "failed probe must re-open");
             let retry = match b.try_admit(now) {
                 Admission::Rejected { retry_after } => retry_after,
                 other => panic!("expected rejection, got {other:?}"),
@@ -351,19 +324,24 @@ mod tests {
             b.record_failure(t0);
         }
         // Backlog failures land while open.
-        assert!(!b.record_failure(t0 + Duration::from_millis(50)));
+        b.record_failure(t0 + Duration::from_millis(50));
+        assert_eq!(b.opens(), 1, "a failure while open is not a re-open");
         // The original deadline still half-opens on time.
         assert_eq!(b.try_admit(t0 + Duration::from_millis(101)), Admission::Allowed);
     }
 
+    /// The breakers live in the per-model records: created lazily, one
+    /// per name, listed sorted — and only for records an admission gave
+    /// a breaker (a record `swap_model` created is not listed).
     #[test]
     fn board_creates_lazily_and_snapshots_sorted() {
-        let board = BreakerBoard::new(cfg());
-        let b1 = board.get("zeta");
-        let b2 = board.get("alpha");
-        assert!(Arc::ptr_eq(&board.get("zeta"), &b1));
-        b2.record_failure(Instant::now());
-        let snap = board.snapshot(Instant::now());
+        let metrics = crate::metrics::ServerMetrics::new(1);
+        let zeta = metrics.model("zeta");
+        let b1: *const CircuitBreaker = zeta.breaker_or_init(&cfg());
+        metrics.model("alpha").breaker_or_init(&cfg()).record_failure(Instant::now());
+        assert!(std::ptr::eq(metrics.model("zeta").breaker_or_init(&cfg()), b1));
+        metrics.model("swapped-only");
+        let snap = metrics.breakers(Instant::now());
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, "alpha");
         assert_eq!(snap[0].1.consecutive_failures, 1);

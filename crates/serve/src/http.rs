@@ -50,9 +50,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mfdfp_obs::json;
+
 use crate::config::HttpConfig;
 use crate::error::{Result, ServeError};
-use crate::metrics::json_escape;
 use crate::server::{Priority, Server, SubmitOptions};
 
 /// A fully parsed HTTP/1.1 request.
@@ -347,22 +348,19 @@ pub fn format_f32_array(values: &[f32]) -> String {
     out
 }
 
-/// The status a serving error maps to at the HTTP boundary.
-fn status_for(err: &ServeError) -> (u16, &'static str) {
+/// The status a serving error maps to at the HTTP boundary (its reason
+/// phrase comes from [`reason`], like every other status).
+fn status_for(err: &ServeError) -> u16 {
     match err {
-        ServeError::UnknownModel(_) => (404, "Not Found"),
-        ServeError::BadInput { .. } => (400, "Bad Request"),
-        ServeError::QueueFull { .. } | ServeError::QuotaExceeded { .. } => {
-            (429, "Too Many Requests")
-        }
-        ServeError::DeadlineExceeded { .. } => (504, "Gateway Timeout"),
-        ServeError::Closed | ServeError::CircuitOpen { .. } | ServeError::ShuttingDown => {
-            (503, "Service Unavailable")
-        }
+        ServeError::UnknownModel(_) => 404,
+        ServeError::BadInput { .. } => 400,
+        ServeError::QueueFull { .. } | ServeError::QuotaExceeded { .. } => 429,
+        ServeError::DeadlineExceeded { .. } => 504,
+        ServeError::Closed | ServeError::CircuitOpen { .. } | ServeError::ShuttingDown => 503,
         ServeError::WorkerPanic
         | ServeError::Inference(_)
         | ServeError::BadConfig(_)
-        | ServeError::Io(_) => (500, "Internal Server Error"),
+        | ServeError::Io(_) => 500,
     }
 }
 
@@ -401,12 +399,7 @@ impl Reply {
     }
 
     fn error(status: u16, message: &str, keep_alive: bool) -> Reply {
-        Reply {
-            status,
-            body: format!("{{\"error\":\"{}\"}}", json_escape(message)),
-            keep_alive,
-            headers: Vec::new(),
-        }
+        Reply::json(status, json::object(|w| w.key("error").str(message)), keep_alive)
     }
 
     /// Head and body leave in **one** `write_all`: with `TCP_NODELAY`
@@ -627,7 +620,7 @@ fn handle_connection(
         }
         let now = Instant::now();
         if now >= idle_deadline {
-            server.metrics_inner().record_http_idle_closed();
+            server.metrics_inner().http_idle_closed.inc();
             let _ = Reply::error(408, "connection idle timeout", false).write_to(&mut stream);
             return;
         }
@@ -662,11 +655,15 @@ fn route(server: &Arc<Server>, request: &HttpRequest) -> Reply {
     let keep_alive = request.keep_alive;
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/v1/metrics") => Reply::json(200, server.metrics().to_json(), keep_alive),
-        ("GET", "/v1/models") => Reply::json(200, models_json(server), keep_alive),
+        ("GET", "/v1/models") => {
+            let registry = server.registry();
+            Reply::json(200, models_json(&registry.names(), |n| registry.version(n)), keep_alive)
+        }
         ("GET", "/v1/health") => Reply::json(200, server.health().to_json(), keep_alive),
         ("GET", "/v1/ready") => {
             let ready = server.ready();
-            Reply::json(if ready { 200 } else { 503 }, format!("{{\"ready\":{ready}}}"), keep_alive)
+            let body = json::object(|w| w.key("ready").raw(ready));
+            Reply::json(if ready { 200 } else { 503 }, body, keep_alive)
         }
         (method, path) if path.starts_with("/v1/infer/") => {
             let model = &path["/v1/infer/".len()..];
@@ -685,19 +682,22 @@ fn route(server: &Arc<Server>, request: &HttpRequest) -> Reply {
     }
 }
 
-fn models_json(server: &Arc<Server>) -> String {
-    let registry = server.registry();
-    let mut out = String::from("{\"models\":[");
-    for (i, name) in registry.names().iter().enumerate() {
-        // A model may be removed between names() and version(); skip it.
-        let Ok(version) = registry.version(name) else { continue };
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"name\":\"{}\",\"version\":{version}}}", json_escape(name)));
-    }
-    out.push_str("]}");
-    out
+/// The `GET /v1/models` body: each of `names` with its current version.
+/// A model removed between listing its name and resolving its version
+/// is skipped; the writer places the separators, so the body is
+/// well-formed whichever names drop out.
+fn models_json(names: &[String], version: impl Fn(&str) -> Result<u64>) -> String {
+    json::object(|w| {
+        w.key("models").array(|w| {
+            for name in names {
+                let Ok(version) = version(name) else { continue };
+                w.object(|w| {
+                    w.key("name").str(name);
+                    w.key("version").raw(version);
+                });
+            }
+        });
+    })
 }
 
 /// `POST /v1/infer/<model>`: body + headers → [`Server::submit_with`] →
@@ -729,28 +729,23 @@ fn infer(server: &Arc<Server>, model: &str, request: &HttpRequest) -> Reply {
     let outcome = server.submit_with(model, image, opts).and_then(crate::Ticket::wait);
     match outcome {
         Ok(response) => {
-            let mut reply = Reply::json(
-                200,
-                format!(
-                    "{{\"model\":\"{}\",\"version\":{},\"class\":{},\"batch_size\":{},\"latency_us\":{},\"degraded\":{},\"logits\":{}}}",
-                    json_escape(&response.model),
-                    response.version,
-                    response.class,
-                    response.batch_size,
-                    response.latency.as_micros(),
-                    response.degraded,
-                    format_f32_array(response.logits.as_slice()),
-                ),
-                keep_alive,
-            );
+            let body = json::object(|w| {
+                w.key("model").str(&response.model);
+                w.key("version").raw(response.version);
+                w.key("class").raw(response.class);
+                w.key("batch_size").raw(response.batch_size);
+                w.key("latency_us").raw(response.latency.as_micros());
+                w.key("degraded").raw(response.degraded);
+                w.key("logits").raw(format_f32_array(response.logits.as_slice()));
+            });
+            let mut reply = Reply::json(200, body, keep_alive);
             if response.degraded {
                 reply.headers.push(("x-mfdfp-degraded", "1".to_string()));
             }
             reply
         }
         Err(e) => {
-            let (status, _) = status_for(&e);
-            let mut reply = Reply::error(status, &e.to_string(), keep_alive);
+            let mut reply = Reply::error(status_for(&e), &e.to_string(), keep_alive);
             if let ServeError::CircuitOpen { retry_after, .. } = &e {
                 // Whole seconds, rounded up — `Retry-After: 0` would
                 // invite an immediate retry against an open circuit.
@@ -883,25 +878,24 @@ mod tests {
 
     #[test]
     fn statuses_cover_every_serve_error() {
-        assert_eq!(status_for(&ServeError::UnknownModel("m".into())).0, 404);
+        assert_eq!(status_for(&ServeError::UnknownModel("m".into())), 404);
         assert_eq!(
-            status_for(&ServeError::BadInput { model: "m".into(), expected: 1, actual: 2 }).0,
+            status_for(&ServeError::BadInput { model: "m".into(), expected: 1, actual: 2 }),
             400
         );
-        assert_eq!(status_for(&ServeError::QueueFull { capacity: 1 }).0, 429);
-        assert_eq!(status_for(&ServeError::QuotaExceeded { model: "m".into(), quota: 1 }).0, 429);
-        assert_eq!(status_for(&ServeError::DeadlineExceeded { model: "m".into() }).0, 504);
-        assert_eq!(status_for(&ServeError::Closed).0, 503);
+        assert_eq!(status_for(&ServeError::QueueFull { capacity: 1 }), 429);
+        assert_eq!(status_for(&ServeError::QuotaExceeded { model: "m".into(), quota: 1 }), 429);
+        assert_eq!(status_for(&ServeError::DeadlineExceeded { model: "m".into() }), 504);
+        assert_eq!(status_for(&ServeError::Closed), 503);
         assert_eq!(
             status_for(&ServeError::CircuitOpen {
                 model: "m".into(),
                 retry_after: std::time::Duration::from_millis(100),
-            })
-            .0,
+            }),
             503
         );
-        assert_eq!(status_for(&ServeError::ShuttingDown).0, 503);
-        assert_eq!(status_for(&ServeError::WorkerPanic).0, 500);
+        assert_eq!(status_for(&ServeError::ShuttingDown), 503);
+        assert_eq!(status_for(&ServeError::WorkerPanic), 500);
     }
 
     /// Records every `write` call it receives, whole.
@@ -957,6 +951,24 @@ mod tests {
             assert_eq!(declared_total(&bytes[..head_end - 1]), None, "head not in yet");
         }
         assert_eq!(declared_total(b"GET / HTTP/1.1\r\nhost: x\r\n\r\n"), None);
+    }
+
+    #[test]
+    fn models_listing_stays_well_formed_when_a_name_vanishes() {
+        // A model removed between `names()` and `version()`: the first
+        // listed name no longer resolves. The body used to start
+        // `{"models":[,{…` here.
+        let names = ["gone".to_string(), "tiny".to_string(), "we\"ird".to_string()];
+        let version = |name: &str| match name {
+            "gone" => Err(ServeError::UnknownModel(name.into())),
+            _ => Ok(name.len() as u64),
+        };
+        assert_eq!(
+            models_json(&names, version),
+            r#"{"models":[{"name":"tiny","version":4},{"name":"we\"ird","version":6}]}"#
+        );
+        let unresolvable = |name: &str| Err(ServeError::UnknownModel(name.into()));
+        assert_eq!(models_json(&names, unresolvable), r#"{"models":[]}"#);
     }
 
     /// Inverse of JSON string escaping for the escapes RFC 8259 defines.

@@ -48,14 +48,15 @@
 //!    compute footprint is bounded by
 //!    `shards × workers + pool width − 1` threads (see README
 //!    "Threading model").
-//! 4. **Telemetry** — [`ServerMetrics`] tracks throughput, latency
-//!    percentiles, per-shard queue depths, shed/rejection counters, the
-//!    batch-size histogram, a per-stage breakdown (queue-wait /
-//!    inference / response send), a per-model registry of the same
-//!    series (including version and swap counts), the process-wide
-//!    datapath op counters with their energy estimate, and the shared
-//!    pool's counters; [`MetricsSnapshot::to_json`] exports it all
-//!    under a schema that is stable across feature sets. With the `obs`
+//! 4. **Telemetry** — one record per model (request counters, latency
+//!    buckets, batch histogram, quota slots, version/swaps, circuit
+//!    breaker); [`Server::metrics`] sums the records into the server
+//!    totals and adds queue depths, a queue-wait / inference / respond
+//!    stage breakdown, the datapath op counters with their energy
+//!    estimate and the shared pool's counters.
+//!    [`MetricsSnapshot::to_json`] renders it with the `mfdfp_obs::json`
+//!    writer every body the tier serves uses, under a schema stable
+//!    across feature sets. With the `obs`
 //!    feature the pipeline stages also emit flight-recorder spans
 //!    (`serve.accept`, `serve.http_parse`, `serve.submit`,
 //!    `serve.route`, `serve.batch_form`, `serve.shed`,
@@ -123,9 +124,7 @@ pub use breaker::{BreakerSnapshot, BreakerState};
 pub use config::{BreakerConfig, DegradeConfig, HttpConfig, ServeConfig};
 pub use error::{Result, ServeError};
 pub use http::HttpServer;
-pub use metrics::{
-    MetricsSnapshot, ModelMetrics, ModelSnapshot, ServerMetrics, StageSnapshot, StagesSnapshot,
-};
+pub use metrics::{MetricsSnapshot, ModelSnapshot, StageSnapshot, StagesSnapshot};
 pub use queue::{BoundedQueue, PopTick, PushRejection};
 pub use registry::{ModelRegistry, ServedModel};
 pub use server::{HealthSnapshot, Priority, Response, Server, ShardHealth, SubmitOptions, Ticket};

@@ -10,7 +10,9 @@ use std::time::{Duration, Instant};
 
 use mfdfp_tensor::Tensor;
 
-use crate::breaker::{Admission, BreakerBoard, BreakerSnapshot, CircuitBreaker};
+use mfdfp_obs::json;
+
+use crate::breaker::{Admission, BreakerSnapshot};
 use crate::config::ServeConfig;
 use crate::error::{Result, ServeError};
 use crate::fault;
@@ -97,8 +99,8 @@ pub struct SubmitOptions {
 
 /// One queued unit of work. The model is resolved at admission so workers
 /// skip the registry and removal cannot strand in-flight requests; the
-/// per-model metrics series rides along the same way, so workers never
-/// touch the name-keyed metrics map either.
+/// model's record (metrics series, quota slot, circuit breaker) rides
+/// along the same way, so workers never touch the name-keyed map either.
 pub(crate) struct Request {
     pub(crate) model_name: String,
     pub(crate) model: ServedModel,
@@ -111,10 +113,6 @@ pub(crate) struct Request {
     pub(crate) submitted_ns: u64,
     /// Absolute shed deadline (admission time + the caller's budget).
     pub(crate) deadline: Option<Instant>,
-    /// The model's circuit breaker (`None` when breakers are disabled):
-    /// workers report the dispatch outcome, shed/drain paths release a
-    /// held probe slot.
-    pub(crate) breaker: Option<Arc<CircuitBreaker>>,
     pub(crate) tx: mpsc::Sender<Result<Response>>,
 }
 
@@ -132,10 +130,10 @@ pub(crate) struct Request {
 /// weights with zero downtime; [`Server::shutdown`] (or drop) closes the
 /// queues, drains them and joins the workers.
 pub struct Server {
+    started: Instant,
     registry: Arc<ModelRegistry>,
     shards: Vec<Shard>,
     metrics: Arc<ServerMetrics>,
-    breakers: Option<BreakerBoard>,
     supervisor: Supervisor,
     config: ServeConfig,
 }
@@ -150,12 +148,12 @@ impl Server {
     /// Returns [`ServeError::BadConfig`] for invalid knobs.
     pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> Result<Server> {
         config.validate()?;
+        let started = Instant::now();
         let metrics = Arc::new(ServerMetrics::new(config.max_batch));
         let shards =
             (0..config.shards).map(|id| Shard::start(id, &config, &metrics)).collect::<Vec<_>>();
-        let breakers = config.breaker.clone().map(BreakerBoard::new);
         let supervisor = Supervisor::start(shards.clone(), Arc::clone(&metrics), config.clone());
-        Ok(Server { registry, shards, metrics, breakers, supervisor, config })
+        Ok(Server { started, registry, shards, metrics, supervisor, config })
     }
 
     /// Admits one inference request for `model` on a single image tensor
@@ -240,19 +238,18 @@ impl Server {
         // quota slot or queue capacity is consumed. An allowed admission
         // may hold a half-open probe slot, so every later rejection path
         // must discard it.
-        let breaker = self.breakers.as_ref().map(|board| board.get(model));
-        if let Some(breaker) = &breaker {
+        let breaker = self.config.breaker.as_ref().map(|cfg| metrics_model.breaker_or_init(cfg));
+        if let Some(breaker) = breaker {
             if let Admission::Rejected { retry_after } = breaker.try_admit(Instant::now()) {
-                self.metrics.record_breaker_rejected();
+                self.metrics.breaker_rejected.inc();
                 return Err(ServeError::CircuitOpen { model: model.to_string(), retry_after });
             }
         }
         // Quota slot: held from admission to terminal answer (response,
         // failure or shed), so `in_flight` counts queued + computing.
         if !metrics_model.try_acquire_slot(self.config.model_quota) {
-            self.metrics.record_quota_rejected();
-            metrics_model.record_quota_rejected();
-            if let Some(breaker) = &breaker {
+            metrics_model.quota_rejected.inc();
+            if let Some(breaker) = breaker {
                 breaker.record_discarded();
             }
             return Err(ServeError::QuotaExceeded {
@@ -271,7 +268,6 @@ impl Server {
             submitted,
             submitted_ns: mfdfp_obs::now_ns(),
             deadline: opts.deadline.map(|d| submitted + d),
-            breaker: breaker.clone(),
             tx,
         };
         let shard = &self.shards[Self::route(model, self.shards.len())];
@@ -287,23 +283,16 @@ impl Server {
         };
         match pushed {
             Ok(()) => {
-                self.metrics.record_submitted();
-                metrics_model.record_submitted();
+                metrics_model.submitted.inc();
                 Ok(Ticket { rx })
             }
             Err((_, PushRejection::Full)) => {
-                metrics_model.release_slot();
-                if let Some(breaker) = &breaker {
-                    breaker.record_discarded();
-                }
-                self.metrics.record_rejected();
+                metrics_model.discard();
+                self.metrics.rejected.inc();
                 Err(ServeError::QueueFull { capacity: shard.queue().capacity() })
             }
             Err((_, PushRejection::Closed)) => {
-                metrics_model.release_slot();
-                if let Some(breaker) = &breaker {
-                    breaker.record_discarded();
-                }
+                metrics_model.discard();
                 Err(ServeError::Closed)
             }
         }
@@ -346,13 +335,13 @@ impl Server {
         &self.config
     }
 
-    /// A point-in-time metrics view: the global and per-model counters
-    /// plus every shard's current queue depth, all sampled against a
-    /// single clock read (see
-    /// [`ServerMetrics::snapshot_sharded`]).
+    /// A point-in-time metrics view: the per-model series, the request
+    /// totals summed from them, the server-wide counters and every
+    /// shard's current queue depth; `uptime` and `throughput_rps` share
+    /// a single clock read.
     pub fn metrics(&self) -> MetricsSnapshot {
         let depths: Vec<usize> = self.shards.iter().map(Shard::depth).collect();
-        self.metrics.snapshot_sharded(&depths)
+        self.metrics.snapshot(self.started, &depths)
     }
 
     /// The self-healing status surface: per-shard worker heartbeat ages
@@ -380,9 +369,9 @@ impl Server {
         HealthSnapshot {
             ready,
             shards,
-            breakers: self.breakers.as_ref().map(|b| b.snapshot(now)).unwrap_or_default(),
+            breakers: self.metrics.breakers(now),
             degrade_level: self.metrics.degrade_level(),
-            respawns: self.metrics.respawn_count(),
+            respawns: self.metrics.respawns.get(),
         }
     }
 
@@ -431,11 +420,8 @@ impl Server {
         }
         for shard in &self.shards {
             for request in shard.queue().drain_pending() {
-                self.metrics.record_shutdown_rejected();
-                request.metrics_model.release_slot();
-                if let Some(breaker) = &request.breaker {
-                    breaker.record_discarded();
-                }
+                self.metrics.shutdown_rejected.inc();
+                request.metrics_model.discard();
                 let _ = request.tx.send(Err(ServeError::ShuttingDown));
             }
         }
@@ -443,7 +429,7 @@ impl Server {
             shard.join();
         }
         let depths: Vec<usize> = self.shards.iter().map(Shard::depth).collect();
-        self.metrics.snapshot_sharded(&depths)
+        self.metrics.snapshot(self.started, &depths)
     }
 
     fn shutdown_in_place(&mut self) {
@@ -497,55 +483,39 @@ pub struct HealthSnapshot {
 
 impl HealthSnapshot {
     /// Serialises the snapshot as a self-contained JSON object with
-    /// stable key order (hand-rolled like
-    /// [`MetricsSnapshot::to_json`]): the `ready` bit, the
-    /// `degrade_level` gauge, the `respawns` counter, a `shards` array
+    /// stable key order: the `ready` bit, the `degrade_level` gauge, the
+    /// `respawns` counter, a `shards` array
     /// (`{shard, queue_depth, heartbeat_ages_ms}`) and a name-keyed
     /// `breakers` object
     /// (`{state, consecutive_failures, retry_in_ms, opens}`).
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let ages: Vec<String> = s
-                    .heartbeat_ages
-                    .iter()
-                    .map(|age| format!("{:.3}", age.as_secs_f64() * 1000.0))
-                    .collect();
-                format!(
-                    "{{\"shard\":{},\"queue_depth\":{},\"heartbeat_ages_ms\":[{}]}}",
-                    s.shard,
-                    s.queue_depth,
-                    ages.join(",")
-                )
-            })
-            .collect();
-        let breakers: Vec<String> = self
-            .breakers
-            .iter()
-            .map(|(name, b)| {
-                format!(
-                    concat!(
-                        "\"{}\":{{\"state\":\"{}\",\"consecutive_failures\":{},",
-                        "\"retry_in_ms\":{:.3},\"opens\":{}}}"
-                    ),
-                    crate::metrics::json_escape(name),
-                    b.state.name(),
-                    b.consecutive_failures,
-                    b.retry_in.unwrap_or_default().as_secs_f64() * 1000.0,
-                    b.opens,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"ready\":{},\"degrade_level\":{},\"respawns\":{},\"shards\":[{}],\"breakers\":{{{}}}}}",
-            self.ready,
-            self.degrade_level,
-            self.respawns,
-            shards.join(","),
-            breakers.join(","),
-        )
+        let ms = |d: Duration| d.as_secs_f64() * 1000.0;
+        json::object(|w| {
+            w.key("ready").raw(self.ready);
+            w.key("degrade_level").raw(self.degrade_level);
+            w.key("respawns").raw(self.respawns);
+            w.key("shards").array(|w| {
+                for s in &self.shards {
+                    w.object(|w| {
+                        w.key("shard").raw(s.shard);
+                        w.key("queue_depth").raw(s.queue_depth);
+                        let ages = &s.heartbeat_ages;
+                        w.key("heartbeat_ages_ms")
+                            .array(|w| ages.iter().for_each(|a| w.fixed(ms(*a), 3)));
+                    });
+                }
+            });
+            w.key("breakers").object(|w| {
+                for (name, b) in &self.breakers {
+                    w.key(name).object(|w| {
+                        w.key("state").str(b.state.name());
+                        w.key("consecutive_failures").raw(b.consecutive_failures);
+                        w.key("retry_in_ms").fixed(ms(b.retry_in.unwrap_or_default()), 3);
+                        w.key("opens").raw(b.opens);
+                    });
+                }
+            });
+        })
     }
 }
 

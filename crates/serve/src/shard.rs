@@ -45,7 +45,6 @@ use std::time::{Duration, Instant};
 
 use mfdfp_tensor::{Tensor, Workspace};
 
-use crate::breaker::CircuitBreaker;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::fault;
@@ -170,7 +169,7 @@ impl Shard {
             if dead {
                 let _ = old.handle.join();
             }
-            metrics.record_respawn();
+            metrics.respawns.inc();
         }
     }
 
@@ -225,7 +224,7 @@ fn worker_loop(inner: &ShardInner, metrics: &ServerMetrics, cfg: &ServeConfig, b
             formed_from,
             mfdfp_obs::now_ns(),
         );
-        let batch = shed_expired(batch, metrics);
+        let batch = shed_expired(batch);
         if batch.is_empty() {
             continue;
         }
@@ -239,7 +238,7 @@ fn worker_loop(inner: &ShardInner, metrics: &ServerMetrics, cfg: &ServeConfig, b
 /// counted in the `shed` metrics — the datapath never runs for them.
 /// One clock sample judges the whole batch, so a batch's shed decisions
 /// are mutually consistent.
-fn shed_expired(batch: Vec<Request>, metrics: &ServerMetrics) -> Vec<Request> {
+fn shed_expired(batch: Vec<Request>) -> Vec<Request> {
     let now = Instant::now();
     if batch.iter().all(|r| r.deadline.is_none_or(|d| d > now)) {
         return batch;
@@ -250,14 +249,10 @@ fn shed_expired(batch: Vec<Request>, metrics: &ServerMetrics) -> Vec<Request> {
     for request in batch {
         match request.deadline {
             Some(d) if d <= now => {
-                metrics.record_shed();
-                request.metrics_model.record_shed();
-                request.metrics_model.release_slot();
-                // The model was never exercised: release a held breaker
-                // probe slot without judging the outcome.
-                if let Some(b) = &request.breaker {
-                    b.record_discarded();
-                }
+                request.metrics_model.shed.inc();
+                // The model was never exercised: free the quota slot and
+                // any held breaker probe without judging the outcome.
+                request.metrics_model.discard();
                 let err = ServeError::DeadlineExceeded { model: request.model_name.clone() };
                 let _ = request.tx.send(Err(err));
                 shed += 1;
@@ -359,12 +354,11 @@ fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
 fn dispatch_group(group: Vec<Request>, metrics: &ServerMetrics) {
     let dispatched = Instant::now();
     let dispatched_ns = mfdfp_obs::now_ns();
-    metrics.record_batch(group.len());
     group[0].metrics_model.record_batch(group.len());
     for request in &group {
         // `duration_since` saturates to zero, so a clock read that lands
         // between two threads' samples can never panic the worker.
-        metrics.record_queue_wait(dispatched.duration_since(request.submitted));
+        metrics.queue_wait.record(dispatched.duration_since(request.submitted));
         mfdfp_obs::record_complete(
             "serve.queue_wait",
             group.len() as u64,
@@ -415,21 +409,21 @@ fn dispatch_group(group: Vec<Request>, metrics: &ServerMetrics) {
                     members,
                 )
             };
-            metrics.record_infer(infer_started.elapsed());
+            metrics.infer.record(infer_started.elapsed());
             inference.map(|()| scratch.logits.clone())
         }))
     });
     match inference {
         Ok(Ok(logits)) => {
-            record_group_outcome(&group, metrics, true);
+            record_group_outcome(&group, true);
             let respond_started = Instant::now();
             let _span = mfdfp_obs::span!("serve.respond", batch_size as u64);
             for (row, request) in logits.chunks(classes).zip(group) {
                 let latency = request.submitted.elapsed();
-                request.metrics_model.record_completed(latency);
+                request.metrics_model.completed.record(latency);
                 request.metrics_model.release_slot();
                 if degraded {
-                    metrics.record_degraded();
+                    metrics.degraded.inc();
                 }
                 let logits = Tensor::from_slice(row);
                 let response = Response {
@@ -441,53 +435,49 @@ fn dispatch_group(group: Vec<Request>, metrics: &ServerMetrics) {
                     latency,
                     degraded,
                 };
-                metrics.record_completed(response.latency);
                 // A dropped Ticket is not an error; the work is done.
                 let _ = request.tx.send(Ok(response));
             }
-            metrics.record_respond(respond_started.elapsed());
+            metrics.respond.record(respond_started.elapsed());
         }
         Ok(Err(e)) => {
-            record_group_outcome(&group, metrics, false);
-            fail_group(group, metrics, ServeError::Inference(e));
+            record_group_outcome(&group, false);
+            fail_group(group, ServeError::Inference(e));
         }
         Err(_panic) => {
-            record_group_outcome(&group, metrics, false);
-            fail_group(group, metrics, ServeError::WorkerPanic);
+            record_group_outcome(&group, false);
+            fail_group(group, ServeError::WorkerPanic);
         }
     }
 }
 
-/// Reports a dispatched group's outcome to each *distinct* breaker in it
-/// exactly once (groups key on model identity, so two registry names
-/// sharing one network can land in one group — each name's breaker gets
-/// one verdict, never one per request). A trip bumps `breaker_opens`.
-fn record_group_outcome(group: &[Request], metrics: &ServerMetrics, success: bool) {
+/// Reports a dispatched group's outcome to each *distinct* model's
+/// breaker in it exactly once (groups key on model identity, so two
+/// registry names sharing one network can land in one group — each
+/// name's breaker gets one verdict, never one per request).
+fn record_group_outcome(group: &[Request], success: bool) {
     let now = Instant::now();
-    let mut seen: Vec<*const CircuitBreaker> = Vec::new();
-    for request in group {
-        let Some(breaker) = &request.breaker else { continue };
-        let ptr = Arc::as_ptr(breaker);
-        if seen.contains(&ptr) {
+    for (i, request) in group.iter().enumerate() {
+        let record = &request.metrics_model;
+        let Some(breaker) = record.breaker.get() else { continue };
+        if group[..i].iter().any(|earlier| Arc::ptr_eq(&earlier.metrics_model, record)) {
             continue;
         }
-        seen.push(ptr);
         if success {
             breaker.record_success();
-        } else if breaker.record_failure(now) {
-            metrics.record_breaker_open();
+        } else {
+            breaker.record_failure(now);
         }
     }
 }
 
 /// Answers every member of a group with `err` and records the failures.
-fn fail_group(group: Vec<Request>, metrics: &ServerMetrics, err: ServeError) {
+fn fail_group(group: Vec<Request>, err: ServeError) {
     for request in group {
         // Count before answering: a client that wakes on this error and
         // immediately snapshots the metrics must already see its failure
         // counted (the success path orders itself the same way).
-        metrics.record_failed();
-        request.metrics_model.record_failed();
+        request.metrics_model.failed.inc();
         request.metrics_model.release_slot();
         let _ = request.tx.send(Err(err.clone()));
     }
@@ -525,7 +515,6 @@ mod tests {
             submitted: Instant::now(),
             submitted_ns: 0,
             deadline: None,
-            breaker: None,
             tx,
         };
         (request, rx)

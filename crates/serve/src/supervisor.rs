@@ -115,7 +115,7 @@ impl DegradeController {
     /// One control tick: estimate this tick's queue-wait p95 from the
     /// histogram delta and move the level at most one step.
     fn tick(&mut self, metrics: &ServerMetrics) {
-        let now_buckets = metrics.queue_wait_bucket_counts();
+        let now_buckets = metrics.queue_wait.bucket_counts();
         let delta: Vec<u64> = if self.last_buckets.is_empty() {
             now_buckets.clone()
         } else {
@@ -165,7 +165,7 @@ mod tests {
     /// Record `n` queue waits of `us` microseconds.
     fn waits(m: &ServerMetrics, n: usize, us: u64) {
         for _ in 0..n {
-            m.record_queue_wait(Duration::from_micros(us));
+            m.queue_wait.record(Duration::from_micros(us));
         }
     }
 

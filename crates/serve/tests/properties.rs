@@ -6,9 +6,10 @@
 //!   request as incomplete (never as complete or invalid), and rejects
 //!   oversized input with typed errors;
 //! * deadline-shed accounting is **exact**: over any mix of instantly
-//!   expiring and never-expiring deadlines,
-//!   `completed + failed + shed == submitted` and the shed count equals
-//!   precisely the number of already-expired deadlines submitted.
+//!   expiring and never-expiring deadlines across two models,
+//!   `completed + failed + shed == submitted`, the shed count equals
+//!   precisely the number of already-expired deadlines submitted, and
+//!   every server total is the sum of the per-model series.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -17,7 +18,8 @@ use mfdfp_core::{calibrate, QuantizedNet};
 use mfdfp_nn::zoo;
 use mfdfp_serve::http::{encode_request, format_f32_array, parse_f32_array, parse_request};
 use mfdfp_serve::{
-    HttpConfig, ModelRegistry, Priority, ServeConfig, ServeError, Server, SubmitOptions,
+    HttpConfig, ModelRegistry, ModelSnapshot, Priority, ServeConfig, ServeError, Server,
+    SubmitOptions,
 };
 use mfdfp_tensor::TensorRng;
 use proptest::prelude::*;
@@ -180,16 +182,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Exact shed accounting: submit a random mix of already-expired
-    /// (zero) and never-expiring deadlines across both priority lanes;
-    /// afterwards `completed + failed + shed == submitted` holds exactly,
-    /// with `shed` equal to precisely the expired-deadline count.
+    /// (zero) and never-expiring deadlines across both priority lanes and
+    /// two models; afterwards `completed + failed + shed == submitted`
+    /// holds exactly, with `shed` equal to precisely the expired-deadline
+    /// count, and each total equals the sum over the model series.
     #[test]
     fn deadline_shed_accounting_is_exact(
-        kinds in proptest::collection::vec((0u8..3, proptest::bool::ANY), 1..40),
+        kinds in proptest::collection::vec((0u8..3, proptest::bool::ANY, 0usize..2), 1..40),
     ) {
+        const MODELS: [&str; 2] = ["m", "n"];
         let qnet = shared_qnet();
         let registry = Arc::new(ModelRegistry::new());
-        registry.register("m", qnet.clone());
+        for name in MODELS {
+            registry.register(name, qnet.clone());
+        }
         let server = Server::start(
             registry,
             ServeConfig {
@@ -206,7 +212,7 @@ proptest! {
         let mut expected_shed = 0u64;
         let mut expected_completed = 0u64;
         let mut tickets = Vec::new();
-        for (kind, high) in &kinds {
+        for (kind, high, model) in &kinds {
             // kind 0: no deadline; 1: never-expiring; 2: already expired.
             let deadline = match kind {
                 0 => None,
@@ -224,14 +230,15 @@ proptest! {
             };
             let img = rng.gaussian([3, 16, 16], 0.0, 0.7);
             // Closed-loop below capacity: submission cannot be rejected.
-            tickets.push((*kind, server.submit_with("m", img, opts).unwrap()));
+            let name = MODELS[*model];
+            tickets.push((*kind, name, server.submit_with(name, img, opts).unwrap()));
         }
         let mut shed_seen = 0u64;
-        for (kind, ticket) in tickets {
+        for (kind, name, ticket) in tickets {
             match ticket.wait() {
                 Ok(_) => prop_assert!(kind != 2, "expired deadline must never serve"),
                 Err(ServeError::DeadlineExceeded { model }) => {
-                    prop_assert_eq!(model.as_str(), "m");
+                    prop_assert_eq!(model.as_str(), name);
                     prop_assert_eq!(kind, 2, "live deadline must never shed");
                     shed_seen += 1;
                 }
@@ -249,9 +256,22 @@ proptest! {
             snap.submitted,
             "accounting must balance exactly"
         );
-        let m = snap.models.iter().find(|m| m.name == "m").unwrap();
-        prop_assert_eq!(m.shed, expected_shed);
-        prop_assert_eq!(m.in_flight, 0, "every slot must be released");
+        // Totals are sums over the model series, histograms element-wise.
+        let sum = |field: fn(&ModelSnapshot) -> u64| snap.models.iter().map(field).sum::<u64>();
+        prop_assert_eq!(snap.submitted, sum(|m| m.submitted));
+        prop_assert_eq!(snap.completed, sum(|m| m.completed));
+        prop_assert_eq!(snap.failed, sum(|m| m.failed));
+        prop_assert_eq!(snap.shed, sum(|m| m.shed));
+        prop_assert_eq!(snap.quota_rejected, sum(|m| m.quota_rejected));
+        let mut batches = vec![0u64; snap.batch_histogram.len()];
+        for m in &snap.models {
+            prop_assert!(m.batch_histogram.len() <= batches.len());
+            for (total, count) in batches.iter_mut().zip(&m.batch_histogram) {
+                *total += count;
+            }
+            prop_assert_eq!(m.in_flight, 0, "every slot must be released");
+        }
+        prop_assert_eq!(&snap.batch_histogram, &batches);
         server.shutdown();
     }
 }

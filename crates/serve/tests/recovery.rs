@@ -171,6 +171,8 @@ fn panic_storm_trips_the_breaker_and_probes_heal_it() {
     let snap = server.metrics();
     assert_eq!(snap.failed, 4, "3 storm failures + 1 failed probe");
     assert_eq!(snap.breaker_opens, 2, "initial trip + the failed probe's re-open");
+    let opens: u64 = server.health().breakers.iter().map(|(_, b)| b.opens).sum();
+    assert_eq!(snap.breaker_opens, opens, "the total is the sum over model breakers");
     assert!(snap.breaker_rejected >= 6, "every fast-fail must be counted");
     assert_balanced(&snap);
     let m = snap.models.iter().find(|m| m.name == "m").unwrap();
