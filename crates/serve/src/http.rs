@@ -175,6 +175,18 @@ pub fn parse_request(
     buf: &[u8],
     config: &HttpConfig,
 ) -> std::result::Result<Option<(HttpRequest, usize)>, HttpParseError> {
+    parse_prefix(buf, config).map(|(request, size)| request.map(|r| (r, size)))
+}
+
+/// [`parse_request`] plus what the connection handler needs to size its
+/// next read: `(Some(request), consumed)` for a complete request, and
+/// `(None, total)` for a valid prefix, where `total` is the whole
+/// request's size (head plus declared `content-length`) once the head is
+/// in, and 0 before.
+fn parse_prefix(
+    buf: &[u8],
+    config: &HttpConfig,
+) -> std::result::Result<(Option<HttpRequest>, usize), HttpParseError> {
     let head_end = match find_head_end(buf) {
         Some(end) => {
             if end > config.max_head_bytes {
@@ -189,7 +201,7 @@ pub fn parse_request(
             if buf.len() > config.max_head_bytes {
                 return Err(HttpParseError::HeadTooLarge { limit: config.max_head_bytes });
             }
-            return Ok(None);
+            return Ok((None, 0));
         }
     };
     let head =
@@ -242,7 +254,7 @@ pub fn parse_request(
     }
     let total = head_end + content_length;
     if buf.len() < total {
-        return Ok(None);
+        return Ok((None, total));
     }
     let keep_alive = match request.header("connection").map(str::to_ascii_lowercase) {
         Some(v) if v == "close" => false,
@@ -250,28 +262,12 @@ pub fn parse_request(
         _ => request.keep_alive,
     };
     let body = buf[head_end..total].to_vec();
-    Ok(Some((HttpRequest { body, keep_alive, ..request }, total)))
+    Ok((Some(HttpRequest { body, keep_alive, ..request }), total))
 }
 
 /// Index one past the `\r\n\r\n` head terminator, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|pos| pos + 4)
-}
-
-/// Bytes the request at the front of `buf` occupies once complete —
-/// head plus declared `content-length` — when its head is in. Only
-/// consulted after [`parse_request`] accepted that head (limits already
-/// enforced) and asked for more: it sizes the body read, and follows
-/// the parser's rule of the *first* `content-length` header.
-fn declared_total(buf: &[u8]) -> Option<usize> {
-    let head_end = find_head_end(buf)?;
-    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
-    let (_, length) = head
-        .split("\r\n")
-        .skip(1)
-        .filter_map(|line| line.split_once(':'))
-        .find(|(name, _)| name.eq_ignore_ascii_case("content-length"))?;
-    head_end.checked_add(length.trim().parse().ok()?)
 }
 
 /// RFC 7230 `token` characters (method and header names).
@@ -591,7 +587,7 @@ fn handle_connection(
     loop {
         if filled > 0 && filled >= need {
             let parse_from = mfdfp_obs::now_ns();
-            let parsed = parse_request(&buf[..filled], config);
+            let parsed = parse_prefix(&buf[..filled], config);
             mfdfp_obs::record_complete(
                 "serve.http_parse",
                 filled as u64,
@@ -599,7 +595,7 @@ fn handle_connection(
                 mfdfp_obs::now_ns(),
             );
             match parsed {
-                Ok(Some((request, consumed))) => {
+                Ok((Some(request), consumed)) => {
                     buf.copy_within(consumed..filled, 0);
                     filled -= consumed;
                     need = 0;
@@ -611,7 +607,7 @@ fn handle_connection(
                     idle_deadline = Instant::now() + config.idle_timeout;
                     continue;
                 }
-                Ok(None) => need = declared_total(&buf[..filled]).unwrap_or(0),
+                Ok((None, total)) => need = total,
                 Err(e) => {
                     let _ = Reply::error(e.status(), &e.to_string(), false).write_to(&mut stream);
                     return;
@@ -931,26 +927,6 @@ mod tests {
         {
             assert!(headers.contains(&wanted), "missing {wanted:?} in {headers:?}");
         }
-    }
-
-    #[test]
-    fn declared_total_agrees_with_the_parser() {
-        let body = [b'7'; 40];
-        let cases: [Vec<u8>; 3] = [
-            encode_request("POST", "/v1/infer/t", &[("x-mfdfp-priority", "high")], &body),
-            // Mixed case and padding; the first of two lengths wins.
-            [&b"POST /x HTTP/1.1\r\nContent-LENGTH:  40 \r\ncontent-length: 7\r\n\r\n"[..], &body]
-                .concat(),
-            encode_request("GET", "/v1/models", &[("content-length", "0")], b""),
-        ];
-        for bytes in &cases {
-            let (_, consumed) = parse_request(bytes, &cfg()).unwrap().unwrap();
-            let head_end = find_head_end(bytes).unwrap();
-            // From the head alone — the only state the handler asks in.
-            assert_eq!(declared_total(&bytes[..head_end]), Some(consumed));
-            assert_eq!(declared_total(&bytes[..head_end - 1]), None, "head not in yet");
-        }
-        assert_eq!(declared_total(b"GET / HTTP/1.1\r\nhost: x\r\n\r\n"), None);
     }
 
     #[test]

@@ -37,17 +37,15 @@
 //!    spent), group by the resolved model's
 //!    allocation identity (a batch never mixes two models or two
 //!    versions of one — the invariant behind zero-downtime
-//!    [`Server::swap_model`] hot swaps), and dispatch each group through
-//!    `QuantizedNet::logits_batch` / `Ensemble::logits_batch` under
-//!    `catch_unwind` (a panicking dispatch degrades to typed
-//!    [`ServeError::WorkerPanic`] responses; the worker survives). A
-//!    single-group batch runs inline on the worker; a batch of ≥ 2
-//!    groups on a pool of width ≥ 2 submits each group as a task on the
-//!    persistent `mfdfp-rt` pool — the same pool the GEMM/conv kernels
-//!    fan out on, so no code path ever spawns threads per call and the
-//!    compute footprint is bounded by
-//!    `shards × workers + pool width − 1` threads (see README
-//!    "Threading model").
+//!    [`Server::swap_model`] hot swaps), and dispatch each group, in
+//!    order, on the worker that popped the batch, through
+//!    `Ensemble::logits_batch_into` under `catch_unwind` (a panicking
+//!    dispatch degrades to typed [`ServeError::WorkerPanic`] responses;
+//!    the worker survives). A single network is served as the ensemble
+//!    of one ([`ServedModel`]). Models run concurrently across
+//!    `shards × workers`; inside one group the packed kernel fans its
+//!    rows out on the shared `mfdfp-rt` pool (see README "Threading
+//!    model").
 //! 4. **Telemetry** — one record per model (request counters, latency
 //!    buckets, batch histogram, quota slots, version/swaps, circuit
 //!    breaker); [`Server::metrics`] sums the records into the server

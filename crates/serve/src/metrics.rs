@@ -562,12 +562,13 @@ pub struct MetricsSnapshot {
     /// [`OpCostModel`] — the live shift-add-vs-multiply energy story.
     pub energy: OpEnergyEstimate,
     /// Width of the shared `mfdfp-rt` pool (workers + helping caller);
-    /// `0` until a hot path first consults the pool (work above the
-    /// dispatch threshold, or a multi-model batch).
+    /// `0` until a kernel first has work above the dispatch threshold.
+    /// Serving itself never consults the pool: a batch of any model mix
+    /// runs on the worker that popped it.
     pub pool_threads: usize,
-    /// Pool tasks run since process start (row chunks, dispatched
-    /// serve groups of multi-model batches; counted at execution start, so
-    /// an in-flight task is already included).
+    /// Pool tasks run since process start: the kernels' row and sample
+    /// chunks, never a serve group (counted at execution start, so an
+    /// in-flight task is already included).
     pub pool_tasks_run: u64,
     /// Pool tasks executed by a thread other than their submitter.
     pub pool_steals: u64,

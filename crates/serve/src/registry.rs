@@ -8,35 +8,27 @@ use mfdfp_tensor::{Tensor, Workspace, WorkspacePlan};
 
 use crate::error::{Result, ServeError};
 
-/// A deployable inference target: a single quantized network or a
-/// logit-averaged ensemble (the paper's Phase 3 deployment).
+/// A deployable inference target: a logit-averaged ensemble of MF-DFP
+/// networks (the paper's Phase 3 deployment). A single network is the
+/// ensemble of one — the paper's `M = 1` — and is served bit-identically
+/// to a direct [`QuantizedNet`] call: its average is `(0 + z) · 1`, and
+/// the datapath never produces a `-0.0` logit that the `0 +` could flip.
 ///
 /// Cloning is cheap (`Arc`); workers hold the clone resolved at admission,
 /// so re-registering a name mid-flight never changes in-flight requests.
 #[derive(Debug, Clone)]
-pub enum ServedModel {
-    /// One MF-DFP network.
-    Single(Arc<QuantizedNet>),
-    /// An ensemble of MF-DFP networks.
-    Ensemble(Arc<Ensemble>),
-}
+pub struct ServedModel(Arc<Ensemble>);
 
 impl ServedModel {
     /// Number of output classes.
     pub fn classes(&self) -> usize {
-        match self {
-            ServedModel::Single(net) => net.classes(),
-            ServedModel::Ensemble(e) => e.classes(),
-        }
+        self.0.classes()
     }
 
     /// Expected input element count per image, when derivable from the
-    /// first compute layer.
+    /// first member's first compute layer.
     pub fn input_len(&self) -> Option<usize> {
-        match self {
-            ServedModel::Single(net) => net.input_len(),
-            ServedModel::Ensemble(e) => e.members().first().and_then(QuantizedNet::input_len),
-        }
+        self.0.members()[0].input_len()
     }
 
     /// Dequantized logits for an `N×…` batch (`N×classes`).
@@ -45,29 +37,22 @@ impl ServedModel {
     ///
     /// Propagates datapath faults.
     pub fn logits_batch(&self, batch: &Tensor) -> std::result::Result<Tensor, CoreError> {
-        match self {
-            ServedModel::Single(net) => net.logits_batch(batch),
-            ServedModel::Ensemble(e) => e.logits_batch(batch),
-        }
+        self.0.logits_batch(batch)
     }
 
     /// Number of ensemble members (1 for a single network) — the upper
     /// bound of the degradation dial a dispatch worker may truncate to.
     pub fn members(&self) -> usize {
-        match self {
-            ServedModel::Single(_) => 1,
-            ServedModel::Ensemble(e) => e.len(),
-        }
+        self.0.len()
     }
 
-    /// The allocation-free batched-logits entry the dispatch workers use:
-    /// `data` is `n` images flat, `out` receives the `n × classes` logits
-    /// row-major, and all scratch comes from `ws`. With
-    /// `members == self.members()` the values are identical to
-    /// [`ServedModel::logits_batch`] on the same stacked batch; a smaller
-    /// `members` serves an ensemble's member *prefix*, bit-identical to a
-    /// standalone `members`-sized ensemble (see
-    /// [`Ensemble::logits_batch_into`]). Single networks ignore the dial.
+    /// The allocation-free batched-logits entry the dispatch workers use
+    /// ([`Ensemble::logits_batch_into`]): `data` is `n` images flat, `out`
+    /// receives the `n × classes` logits row-major, and all scratch comes
+    /// from `ws`. With `members == self.members()` the values are
+    /// identical to [`ServedModel::logits_batch`] on the same stacked
+    /// batch; a smaller `members` serves the member *prefix*,
+    /// bit-identical to a standalone `members`-sized ensemble.
     ///
     /// # Errors
     ///
@@ -80,53 +65,40 @@ impl ServedModel {
         out: &mut [f32],
         members: usize,
     ) -> std::result::Result<(), CoreError> {
-        match self {
-            ServedModel::Single(net) => net.logits_batch_into(data, n, ws, out),
-            ServedModel::Ensemble(e) => e.logits_batch_into(data, n, ws, out, members),
-        }
+        self.0.logits_batch_into(data, n, ws, out, members)
     }
 
     /// Peak workspace sizes for serving this model (see
-    /// [`QuantizedNet::plan`] / [`Ensemble::plan`]).
+    /// [`Ensemble::plan`]).
     pub fn plan(&self) -> WorkspacePlan {
-        match self {
-            ServedModel::Single(net) => net.plan(),
-            ServedModel::Ensemble(e) => e.plan(),
-        }
+        self.0.plan()
     }
 
     /// [`ServedModel::plan`] extended with the fused-batch dimension
-    /// ([`QuantizedNet::plan_for_batch`] /
-    /// [`Ensemble::plan_for_batch`]): what a dispatch worker sizes its
+    /// ([`Ensemble::plan_for_batch`]): what a dispatch worker sizes its
     /// scratch with so the batch-fused forward runs allocation-free up to
     /// the batcher's coalescing limit.
     pub fn plan_for_batch(&self, max_batch: usize) -> WorkspacePlan {
-        match self {
-            ServedModel::Single(net) => net.plan_for_batch(max_batch),
-            ServedModel::Ensemble(e) => e.plan_for_batch(max_batch),
-        }
+        self.0.plan_for_batch(max_batch)
     }
 
     /// Stable identity of the underlying allocation — used to group
     /// batched requests so two models that happen to share a name (one
     /// re-registered mid-flight) are never mixed into one batch.
     pub(crate) fn identity(&self) -> usize {
-        match self {
-            ServedModel::Single(net) => Arc::as_ptr(net) as usize,
-            ServedModel::Ensemble(e) => Arc::as_ptr(e) as usize,
-        }
+        Arc::as_ptr(&self.0) as usize
     }
 }
 
 impl From<QuantizedNet> for ServedModel {
     fn from(net: QuantizedNet) -> Self {
-        ServedModel::Single(Arc::new(net))
+        Ensemble::new(vec![net]).expect("a one-member ensemble is always valid").into()
     }
 }
 
 impl From<Ensemble> for ServedModel {
     fn from(e: Ensemble) -> Self {
-        ServedModel::Ensemble(Arc::new(e))
+        ServedModel(Arc::new(e))
     }
 }
 

@@ -391,9 +391,10 @@ impl Server {
     }
 
     /// Stops admissions, drains queued requests and joins the workers
-    /// (unbounded drain: every queued request is still answered).
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
+    /// (unbounded drain: every queued request is still answered). Dropping
+    /// the server does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     /// Graceful shutdown with a **bounded** drain: admissions stop
@@ -404,38 +405,37 @@ impl Server {
     /// accounting identity still balances exactly:
     /// `completed + failed + shed + shutdown_rejected == submitted`.
     /// (In-flight batches already at a worker always finish; the bound
-    /// applies to queue wait, not to compute.) Returns the final metrics
-    /// snapshot, taken after every worker has joined, so callers can
-    /// audit that identity.
+    /// applies to queue wait, not to compute.) A `drain` too long to put
+    /// a deadline on, such as `Duration::MAX`, drains without bound like
+    /// [`Server::shutdown`]. Returns the final metrics snapshot, taken
+    /// after every worker has joined, so callers can audit that identity.
     pub fn shutdown_within(mut self, drain: Duration) -> MetricsSnapshot {
-        // Stop the supervisor first — its watchdog must not respawn the
-        // workers this drain is about to join.
-        self.supervisor.stop();
-        for shard in &self.shards {
-            shard.close();
-        }
-        let deadline = Instant::now() + drain;
-        while self.shards.iter().any(|s| s.depth() > 0) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for shard in &self.shards {
-            for request in shard.queue().drain_pending() {
-                self.metrics.shutdown_rejected.inc();
-                request.metrics_model.discard();
-                let _ = request.tx.send(Err(ServeError::ShuttingDown));
-            }
-        }
-        for shard in &mut self.shards {
-            shard.join();
-        }
-        let depths: Vec<usize> = self.shards.iter().map(Shard::depth).collect();
-        self.metrics.snapshot(self.started, &depths)
+        self.close_and_join(Instant::now().checked_add(drain));
+        self.metrics()
     }
 
-    fn shutdown_in_place(&mut self) {
+    /// The one shutdown path: stops the supervisor (its watchdog must not
+    /// respawn the workers about to be joined), closes every queue, and
+    /// joins the workers, which drain what is still queued. With a
+    /// `deadline`, what is still queued when it passes is answered
+    /// [`ServeError::ShuttingDown`] instead. Idempotent: `Drop` runs it
+    /// again after an explicit shutdown.
+    fn close_and_join(&mut self, deadline: Option<Instant>) {
         self.supervisor.stop();
         for shard in &self.shards {
             shard.close();
+        }
+        if let Some(deadline) = deadline {
+            while self.shards.iter().any(|s| s.depth() > 0) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            for shard in &self.shards {
+                for request in shard.queue().drain_pending() {
+                    self.metrics.shutdown_rejected.inc();
+                    request.metrics_model.discard();
+                    let _ = request.tx.send(Err(ServeError::ShuttingDown));
+                }
+            }
         }
         for shard in &mut self.shards {
             shard.join();
@@ -445,7 +445,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shutdown_in_place();
+        self.close_and_join(None);
     }
 }
 

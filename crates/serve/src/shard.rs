@@ -3,9 +3,14 @@
 //!
 //! The server routes a request to `hash(model name) % shards`, so two
 //! independent models never contend on one queue and a slow model cannot
-//! convoy a fast one. Inside a shard the pipeline is the PR-2
-//! micro-batcher, extended with admission-control semantics:
+//! convoy a fast one. Inside a shard the pipeline is the micro-batcher,
+//! extended with admission-control semantics:
 //!
+//! * **one owner per batch** — the worker that pops a batch runs every
+//!   model group of it, in order, against the one [`WorkerScratch`] it
+//!   owns; concurrency across models comes from `shards × workers`,
+//!   concurrency within one group from the packed kernel's row-band
+//!   fan-out;
 //! * **deadline shedding** — after popping a batch, the worker drops
 //!   every request whose deadline already expired (typed
 //!   [`ServeError::DeadlineExceeded`], counted in the `shed` metrics)
@@ -36,7 +41,6 @@
 //!   outcome (success / worker panic / inference fault) to the
 //!   originating model's breaker exactly once per group.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -189,17 +193,12 @@ impl Shard {
 /// requests, groups the rest per model, dispatches each group through
 /// the batched quantized forward, scatters responses.
 ///
-/// A batch holding a single model group — the common case — runs inline
-/// on this worker thread, against its warmed [`WorkerScratch`]. Only a
-/// batch of ≥ 2 groups, on a pool of width ≥ 2, submits each group to the
-/// shared `mfdfp-rt` pool as one task ([`run_groups`]): inference then
-/// executes on the same persistent threads the GEMM/conv kernels fan out
-/// on (no per-call thread spawning anywhere in the dispatch), and the
-/// groups run concurrently. The scope owner helps execute its own tasks
-/// while it waits, so a waiting serve worker is itself a compute lane:
-/// the process computes on at most `shards × workers + pool width − 1`
-/// threads (see README "Threading model" for sizing guidance).
+/// Every group runs here, one after another, against the worker's own
+/// [`WorkerScratch`] — warmed by its first dispatches and owned by this
+/// frame, so no other thread can reach it. A respawned worker starts
+/// with a fresh one.
 fn worker_loop(inner: &ShardInner, metrics: &ServerMetrics, cfg: &ServeConfig, beat: &AtomicU64) {
+    let mut scratch = WorkerScratch::default();
     loop {
         // Heartbeat: published at the top of every iteration. The ticked
         // pop below returns `Idle` at least every `supervise_interval`,
@@ -228,8 +227,9 @@ fn worker_loop(inner: &ShardInner, metrics: &ServerMetrics, cfg: &ServeConfig, b
         if batch.is_empty() {
             continue;
         }
-        let groups = partition_by_model(batch);
-        run_groups(groups, metrics);
+        for group in partition_by_model(batch) {
+            dispatch_group(group, metrics, &mut scratch);
+        }
     }
 }
 
@@ -264,25 +264,6 @@ fn shed_expired(batch: Vec<Request>) -> Vec<Request> {
     live
 }
 
-/// Dispatches one popped batch's per-model groups: inline on the calling
-/// worker unless there are ≥ 2 groups *and* the pool is ≥ 2 wide, in
-/// which case each group is one pool task. A single group never touches
-/// the pool, so it cannot be stolen onto a thread with a cold scratch
-/// (and a process serving one model never instantiates the pool here).
-fn run_groups(groups: Vec<Vec<Request>>, metrics: &ServerMetrics) {
-    if groups.len() < 2 || mfdfp_rt::global().threads() < 2 {
-        for group in groups {
-            dispatch_group(group, metrics);
-        }
-        return;
-    }
-    mfdfp_rt::global().scope(|scope| {
-        for group in groups {
-            scope.spawn(move || dispatch_group(group, metrics));
-        }
-    });
-}
-
 /// Splits a popped batch into per-model groups, preserving arrival order
 /// within each group. Grouping keys on the resolved model's allocation
 /// identity (not its name, so a name re-registered or hot-swapped
@@ -302,39 +283,17 @@ fn partition_by_model(batch: Vec<Request>) -> Vec<Vec<Request>> {
     groups.into_iter().map(|(_, g)| g).collect()
 }
 
-/// Per-worker dispatch scratch: the flattened input batch, the logits
-/// output row-block (both grow-only) and the worker's own inference
-/// [`Workspace`]. Owning the workspace here — rather than borrowing the
-/// shared per-thread one — keeps that thread-level workspace free for
-/// row-band tasks the pool may hand back to this same thread (the rt
-/// help-first protocol), so a warmed dispatch's inference performs zero
-/// heap allocations on every path;
-/// only the per-request response materialisation (one logits `Tensor`
-/// per ticket, the channel send) still allocates, because those buffers
-/// leave the worker with the response.
+/// One worker's dispatch scratch: the flattened input batch, the logits
+/// output row-block (both grow-only) and its inference [`Workspace`], so
+/// a warmed dispatch's inference performs zero heap allocations. Only the
+/// per-request response materialisation (one logits `Tensor` per ticket,
+/// the channel send) still allocates, because those buffers leave the
+/// worker with the response.
 #[derive(Default)]
 struct WorkerScratch {
     data: Vec<f32>,
     logits: Vec<f32>,
     ws: Workspace,
-}
-
-thread_local! {
-    /// One staging scratch per worker thread — dispatch runs either on a
-    /// serving worker or, for multi-group batches, on a persistent pool
-    /// thread, and both live as long as the process.
-    static WORKER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
-}
-
-/// Runs `f` with the calling thread's persistent staging scratch; falls
-/// back to a fresh scratch if the thread is already dispatching (a pool
-/// thread helping with a stolen dispatch task while its own inference
-/// scope waits).
-fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
-    WORKER_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut WorkerScratch::default()),
-    })
 }
 
 /// Runs one same-model group as a single batched inference and answers
@@ -348,10 +307,10 @@ fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
 /// element slices, so per-image shape is irrelevant): requests that were
 /// admitted with equal element counts but different shapes, e.g. `[768]`
 /// next to `[3,16,16]`, batch together instead of poisoning each other.
-/// Staging and inference scratch come from the worker's persistent
-/// buffers ([`WorkerScratch`] + the thread workspace), so a warmed
-/// worker's steady-state compute performs zero heap allocations.
-fn dispatch_group(group: Vec<Request>, metrics: &ServerMetrics) {
+/// Staging and inference scratch come from the caller's `scratch`, so a
+/// warmed worker's steady-state compute performs zero heap allocations;
+/// nothing here is tied to the calling thread.
+fn dispatch_group(group: Vec<Request>, metrics: &ServerMetrics, scratch: &mut WorkerScratch) {
     let dispatched = Instant::now();
     let dispatched_ns = mfdfp_obs::now_ns();
     group[0].metrics_model.record_batch(group.len());
@@ -382,37 +341,35 @@ fn dispatch_group(group: Vec<Request>, metrics: &ServerMetrics) {
     // real) panic degrades to a typed per-request error instead of
     // killing the worker; the group itself stays outside the closure so
     // its tickets can still be answered after an unwind.
-    let inference = with_worker_scratch(|scratch| {
-        catch_unwind(AssertUnwindSafe(|| {
-            fault::maybe_worker_hang();
-            fault::maybe_slow_batch();
-            fault::maybe_worker_panic();
-            scratch.data.clear();
-            for request in &group {
-                scratch.data.extend_from_slice(request.image.as_slice());
-            }
-            scratch.logits.resize(batch_size * classes, 0.0);
-            // Size the inference workspace for the batch-fused forward
-            // (the whole batch runs as one interleaved layer loop, so
-            // activation and im2col staging scale by the batch).
-            // `reserve` on a warmed workspace is a no-op, so
-            // steady-state dispatch stays allocation-free.
-            scratch.ws.reserve(&model.plan_for_batch(batch_size));
-            let infer_started = Instant::now();
-            let inference = {
-                let _span = mfdfp_obs::span!("serve.infer", batch_size as u64);
-                model.logits_batch_into(
-                    &scratch.data,
-                    batch_size,
-                    &mut scratch.ws,
-                    &mut scratch.logits,
-                    members,
-                )
-            };
-            metrics.infer.record(infer_started.elapsed());
-            inference.map(|()| scratch.logits.clone())
-        }))
-    });
+    let inference = catch_unwind(AssertUnwindSafe(|| {
+        fault::maybe_worker_hang();
+        fault::maybe_slow_batch();
+        fault::maybe_worker_panic();
+        scratch.data.clear();
+        for request in &group {
+            scratch.data.extend_from_slice(request.image.as_slice());
+        }
+        scratch.logits.resize(batch_size * classes, 0.0);
+        // Size the inference workspace for the batch-fused forward (the
+        // whole batch runs as one interleaved layer loop, so activation
+        // and im2col staging scale by the batch). `reserve` on a warmed
+        // workspace is a no-op, so steady-state dispatch stays
+        // allocation-free.
+        scratch.ws.reserve(&model.plan_for_batch(batch_size));
+        let infer_started = Instant::now();
+        let inference = {
+            let _span = mfdfp_obs::span!("serve.infer", batch_size as u64);
+            model.logits_batch_into(
+                &scratch.data,
+                batch_size,
+                &mut scratch.ws,
+                &mut scratch.logits,
+                members,
+            )
+        };
+        metrics.infer.record(infer_started.elapsed());
+        inference.map(|()| scratch.logits.clone())
+    }));
     match inference {
         Ok(Ok(logits)) => {
             record_group_outcome(&group, true);
@@ -492,12 +449,16 @@ mod tests {
     use mfdfp_tensor::TensorRng;
     use std::sync::mpsc;
 
-    fn tiny_model(seed: u64) -> ServedModel {
+    fn tiny_net(seed: u64) -> QuantizedNet {
         let mut rng = TensorRng::seed_from(seed);
-        let mut net = zoo::quick_custom(3, 16, [4, 4, 8], 16, 10, &mut rng).unwrap();
+        let mut net = zoo::quick_custom(3, 16, [2, 2, 4], 8, 10, &mut rng).unwrap();
         let x = rng.gaussian([4, 3, 16, 16], 0.0, 0.7);
         let plan = calibrate(&mut net, &[(x, vec![0, 1, 2, 3])], 8).unwrap();
-        ServedModel::Single(Arc::new(QuantizedNet::from_network(&net, &plan).unwrap()))
+        QuantizedNet::from_network(&net, &plan).unwrap()
+    }
+
+    fn image() -> Tensor {
+        TensorRng::seed_from(7).gaussian([3, 16, 16], 0.0, 0.7)
     }
 
     fn request(
@@ -511,7 +472,7 @@ mod tests {
             model: model.clone(),
             version: 1,
             metrics_model: metrics.model(name),
-            image: TensorRng::seed_from(7).gaussian([3, 16, 16], 0.0, 0.7),
+            image: image(),
             submitted: Instant::now(),
             submitted_ns: 0,
             deadline: None,
@@ -520,42 +481,45 @@ mod tests {
         (request, rx)
     }
 
-    fn scratch_len() -> usize {
-        WORKER_SCRATCH.with(|cell| cell.borrow().data.len())
-    }
-
-    #[test]
-    fn single_group_dispatches_inline_on_the_calling_thread() {
-        // Whatever the pool width, a one-model batch must run against
-        // *this* thread's scratch — never be boxed as a pool task that a
-        // pool thread with a cold scratch could steal.
-        let metrics = ServerMetrics::new(8);
-        let model = tiny_model(3);
-        std::thread::spawn(move || {
-            assert_eq!(scratch_len(), 0, "fresh thread starts cold");
-            let (req, rx) = request("solo", &model, &metrics);
-            run_groups(vec![vec![req]], &metrics);
-            assert!(rx.recv().unwrap().is_ok());
-            assert_eq!(scratch_len(), 3 * 16 * 16, "dispatch used the caller's scratch");
-        })
-        .join()
-        .unwrap();
-    }
-
     #[test]
     fn multi_group_batch_answers_every_group() {
-        // Two model groups: pool tasks on a pool ≥ 2 wide, inline
-        // otherwise — every ticket is answered either way.
-        let metrics = ServerMetrics::new(8);
-        let (a, b) = (tiny_model(5), tiny_model(6));
-        let (ra, rxa) = request("a", &a, &metrics);
-        let (rb, rxb) = request("b", &b, &metrics);
+        // One worker, batches of exactly two, a linger far longer than the
+        // test: each pair below leaves the queue as one batch — first one
+        // model group of two, then two groups of one. The worker runs every
+        // group itself, so at any pool width no pool task runs (the tiny
+        // nets stay under the kernel's fan-out threshold even at batch 2),
+        // and every answer is bit-exact against a direct call.
+        let nets = [tiny_net(5), tiny_net(6)];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want: Vec<Vec<u32>> = nets.iter().map(|n| bits(&n.logits(&image()).unwrap())).collect();
+        let models: Vec<ServedModel> = nets.into_iter().map(ServedModel::from).collect();
+        let cfg = ServeConfig {
+            workers: 1,
+            max_batch: 2,
+            max_wait: Duration::from_secs(30),
+            ..ServeConfig::default()
+        };
+        let metrics = Arc::new(ServerMetrics::new(cfg.max_batch));
+        let mut shard = Shard::start(0, &cfg, &metrics);
         let before = mfdfp_rt::global_stats().tasks_run;
-        run_groups(partition_by_model(vec![ra, rb]), &metrics);
-        assert!(rxa.recv().unwrap().is_ok());
-        assert!(rxb.recv().unwrap().is_ok());
-        if mfdfp_rt::global().threads() >= 2 {
-            assert!(mfdfp_rt::global_stats().tasks_run >= before + 2, "one pool task per group");
+        for pair in [[0, 0], [0, 1]] {
+            let tickets: Vec<_> = pair
+                .iter()
+                .map(|&m| {
+                    let (req, rx) = request(["a", "b"][m], &models[m], &metrics);
+                    assert!(shard.queue().try_push(req).is_ok());
+                    rx
+                })
+                .collect();
+            for (&m, rx) in pair.iter().zip(tickets) {
+                let response = rx.recv().unwrap().unwrap();
+                assert_eq!(bits(&response.logits), want[m], "model {m} of {pair:?}");
+                assert_eq!(response.batch_size, pair.iter().filter(|&&k| k == m).count());
+            }
         }
+        let ran = mfdfp_rt::global_stats().tasks_run - before;
+        assert_eq!(ran, 0, "a popped batch ran {ran} pool tasks");
+        shard.close();
+        shard.join();
     }
 }

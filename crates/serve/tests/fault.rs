@@ -4,7 +4,8 @@
 //! surviving workers — rather than hanging, poisoning a lock, or tearing
 //! a response.
 //!
-//! Runs only with `--features fault`. The fault counters are
+//! Needs the `fault` feature, which the workspace root turns on for every
+//! test build, so a plain `cargo test` runs it. The fault counters are
 //! process-global, so every test serialises on one mutex and re-arms from
 //! a clean slate.
 

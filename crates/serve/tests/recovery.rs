@@ -8,8 +8,10 @@
 //! `completed + failed + shed + shutdown_rejected == submitted` stays
 //! exact through all of it.
 //!
-//! Runs only with `--features fault`. Fault counters are process-global,
-//! so every test serialises on one mutex and re-arms from a clean slate.
+//! Needs the `fault` feature, which the workspace root turns on for every
+//! test build, so a plain `cargo test` runs it. Fault counters are
+//! process-global, so every test serialises on one mutex and re-arms from
+//! a clean slate.
 
 #![cfg(feature = "fault")]
 
@@ -347,46 +349,57 @@ fn degraded_answers_are_bit_identical_to_the_truncated_ensemble_oracle() {
 fn bounded_drain_answers_leftovers_typed_and_balances() {
     let _guard = serial();
     let qnet = tiny_qnet(4);
-    let registry = Arc::new(ModelRegistry::new());
-    registry.register("m", qnet.clone());
-    let server = Server::start(
-        Arc::clone(&registry),
-        ServeConfig {
-            workers: 1,
-            max_batch: 1,
-            max_wait: Duration::from_micros(100),
-            breaker: None,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    // A 50 ms budget rejects what is still queued at its deadline;
+    // `Duration::MAX` has no representable deadline and drains everything,
+    // as `shutdown` does.
+    for (drain, bounded) in [(Duration::from_millis(50), true), (Duration::MAX, false)] {
+        let registry = Arc::new(ModelRegistry::new());
+        registry.register("m", qnet.clone());
+        let server = Server::start(
+            Arc::clone(&registry),
+            ServeConfig {
+                workers: 1,
+                max_batch: 1,
+                max_wait: Duration::from_micros(100),
+                breaker: None,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
 
-    // One dispatch stalls far past the drain budget; traffic queued
-    // behind it cannot possibly dispatch before the deadline.
-    fault::arm_slow_batch(1, Duration::from_millis(300));
-    let stalled = server.submit("m", image(300)).unwrap();
-    std::thread::sleep(Duration::from_millis(20)); // let the worker pop it
-    let leftovers: Vec<_> = (0..6).map(|i| server.submit("m", image(301 + i)).unwrap()).collect();
+        // One dispatch stalls far past the drain budget; traffic queued
+        // behind it cannot possibly dispatch before the deadline.
+        fault::arm_slow_batch(1, Duration::from_millis(300));
+        let stalled = server.submit("m", image(300)).unwrap();
+        std::thread::sleep(Duration::from_millis(20)); // let the worker pop it
+        let leftovers: Vec<_> =
+            (0..6).map(|i| server.submit("m", image(301 + i)).unwrap()).collect();
 
-    // The drain bound applies to queue wait, not compute: the in-flight
-    // batch finishes, the six queued requests are answered typed.
-    let snap = server.shutdown_within(Duration::from_millis(50));
+        // The drain bound applies to queue wait, not compute: the in-flight
+        // batch finishes; under the bound the six queued requests are
+        // answered typed, without it they are served.
+        let snap = server.shutdown_within(drain);
 
-    let response = stalled.wait().expect("the in-flight batch must finish");
-    assert_eq!(bits(&response.logits), bits(&qnet.logits(&image(300)).unwrap()));
-    for (i, ticket) in leftovers.into_iter().enumerate() {
-        match ticket.wait() {
-            Err(ServeError::ShuttingDown) => {}
-            other => panic!("leftover {i} must be answered ShuttingDown, got {other:?}"),
+        let response = stalled.wait().expect("the in-flight batch must finish");
+        assert_eq!(bits(&response.logits), bits(&qnet.logits(&image(300)).unwrap()));
+        for (i, ticket) in (301..).zip(leftovers) {
+            match ticket.wait() {
+                Err(ServeError::ShuttingDown) if bounded => {}
+                Ok(r) if !bounded => {
+                    assert_eq!(bits(&r.logits), bits(&qnet.logits(&image(i)).unwrap()));
+                }
+                other => panic!("leftover {i} under a {drain:?} drain: got {other:?}"),
+            }
         }
-    }
 
-    assert_eq!(snap.submitted, 7);
-    assert_eq!(snap.completed, 1);
-    assert_eq!(snap.shutdown_rejected, 6, "every drained leftover must be counted");
-    assert_eq!(snap.shed, 0);
-    assert_eq!(snap.failed, 0);
-    assert_balanced(&snap);
-    let m = snap.models.iter().find(|m| m.name == "m").unwrap();
-    assert_eq!(m.in_flight, 0, "drained requests must release their quota slots");
+        let rejected = if bounded { 6 } else { 0 };
+        assert_eq!(snap.submitted, 7);
+        assert_eq!(snap.completed, 7 - rejected);
+        assert_eq!(snap.shutdown_rejected, rejected, "every drained leftover must be counted");
+        assert_eq!(snap.shed, 0);
+        assert_eq!(snap.failed, 0);
+        assert_balanced(&snap);
+        let m = snap.models.iter().find(|m| m.name == "m").unwrap();
+        assert_eq!(m.in_flight, 0, "drained requests must release their quota slots");
+    }
 }

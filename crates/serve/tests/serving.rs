@@ -4,7 +4,7 @@
 //! (batches > 1 under concurrent producers).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mfdfp_core::{calibrate, Ensemble, QuantizedNet};
 use mfdfp_nn::zoo;
@@ -30,6 +30,16 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// A test image whose direct logits hold a zero code (`+0.0`): a served
+/// single network is a one-member ensemble computing `(0 + z) · 1`, and
+/// this input pins that it still answers `+0.0`, bit for bit.
+fn zero_logit_image(q: &QuantizedNet) -> Tensor {
+    (0..1000)
+        .map(|seed| images(1, 5000 + seed).remove(0))
+        .find(|img| q.logits(img).unwrap().as_slice().iter().any(|v| v.to_bits() == 0))
+        .expect("no test image with a zero logit")
+}
+
 #[test]
 fn smoke_sequential_requests_match_direct_logits() {
     let q = tiny_qnet(21);
@@ -41,7 +51,8 @@ fn smoke_sequential_requests_match_direct_logits() {
     )
     .unwrap();
 
-    let imgs = images(12, 7);
+    let mut imgs = images(12, 7);
+    imgs.push(zero_logit_image(&q));
     for img in &imgs {
         let ticket = server.submit("tiny", img.clone()).unwrap();
         let response = ticket.wait().unwrap();
@@ -53,12 +64,12 @@ fn smoke_sequential_requests_match_direct_logits() {
     }
 
     let snap = server.metrics();
-    assert_eq!(snap.submitted, 12);
-    assert_eq!(snap.completed, 12);
+    assert_eq!(snap.submitted, 13);
+    assert_eq!(snap.completed, 13);
     assert_eq!(snap.rejected, 0);
     assert_eq!(snap.failed, 0);
     // Closed-loop single client ⇒ every batch had exactly one request.
-    assert_eq!(snap.batch_histogram[0], 12);
+    assert_eq!(snap.batch_histogram[0], 13);
     server.shutdown();
 }
 
@@ -374,16 +385,21 @@ fn ensemble_and_multi_model_serving() {
     server.shutdown();
 }
 
-/// The metrics snapshot must surface the shared `mfdfp-rt` pool in a
-/// schema-stable way, and report its engagement truthfully: a two-model
-/// batch fans its groups out as pool tasks when the pool is ≥ 2 wide
-/// (`MFDFP_THREADS`, default = detected cores); a width-1 pool is never
-/// engaged at all.
+/// A batch holding two models runs both groups on the worker that popped
+/// it: each answer is bit-exact, and at any pool width (`MFDFP_THREADS`)
+/// no pool task runs for it, because the tiny nets stay under the
+/// kernel's fan-out threshold. The pool counter is process-wide and other
+/// tests in this binary move it, so the check repeats until one batch
+/// lands in a quiet window. The snapshot keeps its `pool` object.
 #[test]
 fn snapshot_surfaces_pool_stats() {
+    let nets = [tiny_qnet(55), tiny_qnet(56)];
+    let imgs = images(2, 9);
+    let want: Vec<Vec<u32>> =
+        nets.iter().zip(&imgs).map(|(net, img)| bits(&net.logits(img).unwrap())).collect();
     let registry = Arc::new(ModelRegistry::new());
-    registry.register("a", tiny_qnet(55));
-    registry.register("b", tiny_qnet(56));
+    registry.register("a", nets[0].clone());
+    registry.register("b", nets[1].clone());
     // One worker, a batch of exactly two and a linger far longer than the
     // test: the worker dispatches the moment it holds one request of each
     // model, i.e. one batch with two model groups.
@@ -398,24 +414,24 @@ fn snapshot_surfaces_pool_stats() {
         },
     )
     .unwrap();
-    let imgs = images(2, 9);
-    let ta = server.submit("a", imgs[0].clone()).unwrap();
-    let tb = server.submit("b", imgs[1].clone()).unwrap();
-    ta.wait().unwrap();
-    tb.wait().unwrap();
-    let width = mfdfp_rt::global().threads();
+    let give_up = Instant::now() + Duration::from_secs(30);
+    loop {
+        let before = mfdfp_rt::global_stats().tasks_run;
+        let ta = server.submit("a", imgs[0].clone()).unwrap();
+        let tb = server.submit("b", imgs[1].clone()).unwrap();
+        assert_eq!(bits(&ta.wait().unwrap().logits), want[0]);
+        assert_eq!(bits(&tb.wait().unwrap().logits), want[1]);
+        let ran = mfdfp_rt::global_stats().tasks_run - before;
+        if ran == 0 {
+            break;
+        }
+        assert!(Instant::now() < give_up, "two-model batches kept running pool tasks ({ran})");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let snap = server.metrics();
     let json = snap.to_json();
     assert!(json.contains("\"pool\":{\"threads\":"), "pool object missing in {json}");
-    assert_eq!(snap.pool_threads, width);
     assert!(snap.pool_steals <= snap.pool_tasks_run);
-    if width >= 2 {
-        // Other suites in this process may have moved the counter
-        // further; >= is the invariant.
-        assert!(snap.pool_tasks_run >= 2, "each model group must run as a pool task");
-    } else {
-        assert_eq!(snap.pool_tasks_run, 0, "a width-1 pool must never be engaged");
-    }
     server.shutdown();
 }
 

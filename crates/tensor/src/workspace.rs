@@ -224,10 +224,11 @@ thread_local! {
 /// call.
 ///
 /// Re-entrancy: if the thread workspace is already borrowed higher up the
-/// stack (possible when a pool thread *helps* execute a stolen task while
-/// its own scope waits — see `mfdfp-rt`), `f` receives a fresh temporary
-/// workspace instead. Correctness is unaffected; the rare helper task
-/// pays its own scratch allocations.
+/// stack — a nested call, made from inside an `f` passed here — the
+/// inner `f` receives a fresh temporary workspace instead. Correctness is
+/// unaffected; the nested call pays its own scratch allocations. No pool
+/// task in this workspace borrows it: the kernels' row bands keep their
+/// scratch on the stack, and the serve tier's workers own theirs.
 pub fn with_thread_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     THREAD_WS.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => f(&mut ws),
