@@ -390,7 +390,8 @@ fn ensemble_and_multi_model_serving() {
 /// no pool task runs for it, because the tiny nets stay under the
 /// kernel's fan-out threshold. The pool counter is process-wide and other
 /// tests in this binary move it, so the check repeats until one batch
-/// lands in a quiet window. The snapshot keeps its `pool` object.
+/// lands in a quiet window. The snapshot keeps its `pool` object, reports
+/// the pool's real width, and a width-1 pool is never engaged at all.
 #[test]
 fn snapshot_surfaces_pool_stats() {
     let nets = [tiny_qnet(55), tiny_qnet(56)];
@@ -428,10 +429,15 @@ fn snapshot_surfaces_pool_stats() {
         assert!(Instant::now() < give_up, "two-model batches kept running pool tasks ({ran})");
         std::thread::sleep(Duration::from_millis(10));
     }
+    let width = mfdfp_rt::global().threads();
     let snap = server.metrics();
     let json = snap.to_json();
     assert!(json.contains("\"pool\":{\"threads\":"), "pool object missing in {json}");
+    assert_eq!(snap.pool_threads, width);
     assert!(snap.pool_steals <= snap.pool_tasks_run);
+    if width < 2 {
+        assert_eq!(snap.pool_tasks_run, 0, "a width-1 pool must never be engaged");
+    }
     server.shutdown();
 }
 
