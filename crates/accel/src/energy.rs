@@ -97,9 +97,7 @@ impl OpCostModel {
 }
 
 /// A priced op-counter snapshot (all in microjoules) — see
-/// [`OpCostModel::estimate`]. All-zero when nothing was counted (e.g.
-/// builds without the `obs` feature), so downstream JSON schemas stay
-/// stable across feature sets.
+/// [`OpCostModel::estimate`]. All-zero when nothing was counted.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OpEnergyEstimate {
     /// Energy of the counted shift-MACs on the multiplier-free datapath.

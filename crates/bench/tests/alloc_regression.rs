@@ -99,7 +99,7 @@ fn allocation_bytes<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
 
 /// A small calibrated conv net (3×16×16 → 10 classes). Every layer sits
 /// below the parallel kernel's MIN_MACS threshold, so the forward stays
-/// on the calling thread under both feature sets — which is exactly the
+/// on the calling thread at every pool width — which is exactly the
 /// regime the strict zero-allocation contract covers.
 fn quantized_net(seed: u64) -> (QuantizedNet, Tensor) {
     let mut rng = TensorRng::seed_from(seed);
@@ -142,8 +142,7 @@ fn warm_qgemm_i8_kernel_is_allocation_free() {
     let mut out = vec![0i8; 32 * 32];
     // The kernel itself has nothing to warm (its buckets and accumulator
     // lanes are stack arrays); the first call only takes one-time state
-    // out of the measured loop — with `obs` on, a thread's first span
-    // creates its ring.
+    // out of the measured loop — a thread's first span takes its ring.
     qgemm_fused_into_i8(&w, 0, 32, &xt, 32, 1, &bias, 13, 4, &mut out).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
@@ -171,7 +170,7 @@ fn warm_forward_codes_with_is_allocation_free() {
     let img = batch.index_axis0(0);
     let mut ws = qnet.plan().workspace();
     // The planned workspace is already at its peaks; the warm-up pass
-    // only takes one-time state (with `obs` on, the thread's span ring)
+    // only takes one-time state (the thread's span ring)
     // out of the measured loop.
     qnet.forward_codes_with(&img, &mut ws).unwrap();
     let (allocs, ()) = allocations(|| {
@@ -371,10 +370,9 @@ fn load_zoo_does_not_copy_payloads() {
 
 /// The flight recorder's hot-path contract: once a thread's ring is
 /// registered (the one-time warm-up allocation), recording spans and op
-/// counts is strictly allocation-free — so leaving `obs` compiled into a
-/// production serve build cannot perturb the zero-allocation inference
-/// contract it observes.
-#[cfg(feature = "obs")]
+/// counts is strictly allocation-free — so the recorder, compiled into
+/// every build, cannot perturb the zero-allocation inference contract
+/// it observes.
 #[test]
 fn warm_spans_and_counters_allocate_nothing() {
     // Warm-up: the first event on a thread registers its ring.
@@ -395,7 +393,7 @@ fn warm_spans_and_counters_allocate_nothing() {
 fn planned_workspace_first_pass_allocates_only_thread_lanes() {
     // The plan() claim: with a pre-sized workspace, the only first-pass
     // allocations left are thread-resident, not per-model (the result
-    // vec; with `obs` on, the span ring). A generous bound keeps this
+    // vec, the span ring). A generous bound keeps this
     // robust while still catching any per-layer allocation creeping back in:
     // the seed net runs 3 convs + 2 linears + pools, so a regression to
     // per-call buffers would cost dozens of allocations.

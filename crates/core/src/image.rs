@@ -73,7 +73,7 @@ use std::sync::Arc;
 
 use mfdfp_accel::qlayers::{ShiftConv, ShiftLinear};
 use mfdfp_dfp::{AlignedBytes, Crc32, DfpFormat, I64Section, PackedPow2Matrix};
-use mfdfp_tensor::{AlignedArena, ConvGeometry, PoolKind};
+use mfdfp_tensor::{ConvGeometry, PoolKind};
 
 use crate::error::{CoreError, Result};
 use crate::qnet::{QLayer, QuantizedNet};
@@ -160,15 +160,15 @@ fn stamp_crc(bytes: &mut [u8], crc_off: usize) {
 /// no decode, no re-pack. The result is 64-byte aligned and ready for
 /// [`ImageView::open`] (or to be written to disk and mapped back).
 pub fn to_image(net: &QuantizedNet) -> AlignedBytes {
-    let mut a = AlignedArena::new();
-    a.push_bytes(&[0u8; HEADER_LEN]);
-    let name_off = a.push_bytes(net.name().as_bytes());
+    let mut a = AlignedBytes::new();
+    a.grow_zeroed(HEADER_LEN);
+    let name_off = a.len();
+    a.extend_from_slice(net.name().as_bytes());
     let name_len = net.name().len();
-    let ltab_off = a.align_to(SECTION_ALIGN);
+    a.pad_to(SECTION_ALIGN);
+    let ltab_off = a.len();
     let n_layers = net.layers().len();
-    for _ in 0..n_layers {
-        a.push_bytes(&[0u8; LAYER_ENTRY_LEN]);
-    }
+    a.grow_zeroed(ltab_off + n_layers * LAYER_ENTRY_LEN);
     // Payload sections, each 64-aligned; record (w_off, w_len, b_off,
     // b_count) per weighted layer.
     let mut sections: Vec<[u64; 4]> = Vec::with_capacity(n_layers);
@@ -180,16 +180,19 @@ pub fn to_image(net: &QuantizedNet) -> AlignedBytes {
         };
         let mut sec = [0u64; 4];
         if let (Some(w), Some(b)) = (weights, bias) {
-            a.align_to(SECTION_ALIGN);
-            sec[0] = a.push_bytes(w.as_bytes()) as u64;
+            a.pad_to(SECTION_ALIGN);
+            sec[0] = a.len() as u64;
+            a.extend_from_slice(w.as_bytes());
             sec[1] = w.as_bytes().len() as u64;
-            a.align_to(SECTION_ALIGN);
-            sec[2] = a.push_i64_le(b) as u64;
+            a.pad_to(SECTION_ALIGN);
+            sec[2] = a.len() as u64;
+            b.iter().for_each(|v| a.extend_from_slice(&v.to_le_bytes()));
             sec[3] = b.len() as u64;
         }
         sections.push(sec);
     }
-    let image_len = a.align_to(SECTION_ALIGN);
+    a.pad_to(SECTION_ALIGN);
+    let image_len = a.len();
 
     // Header back-patch.
     let mut h = [0u8; HEADER_LEN];
@@ -205,7 +208,7 @@ pub fn to_image(net: &QuantizedNet) -> AlignedBytes {
     h[28..32].copy_from_slice(&(name_len as u32).to_le_bytes());
     h[32..36].copy_from_slice(&(ltab_off as u32).to_le_bytes());
     h[36..44].copy_from_slice(&(image_len as u64).to_le_bytes());
-    a.patch(0, &h);
+    a.as_mut_slice()[..HEADER_LEN].copy_from_slice(&h);
 
     // Layer-table back-patch.
     for (i, (layer, sec)) in net.layers().iter().zip(&sections).enumerate() {
@@ -275,11 +278,10 @@ pub fn to_image(net: &QuantizedNet) -> AlignedBytes {
         e[64..72].copy_from_slice(&sec[1].to_le_bytes());
         e[72..80].copy_from_slice(&sec[2].to_le_bytes());
         e[80..88].copy_from_slice(&sec[3].to_le_bytes());
-        a.patch(ltab_off + i * LAYER_ENTRY_LEN, &e);
+        a.as_mut_slice()[ltab_off + i * LAYER_ENTRY_LEN..][..LAYER_ENTRY_LEN].copy_from_slice(&e);
     }
-    let mut image = a.finish();
-    stamp_crc(image.as_mut_slice(), IMAGE_CRC_OFF);
-    image
+    stamp_crc(a.as_mut_slice(), IMAGE_CRC_OFF);
+    a
 }
 
 // ---------------------------------------------------------------------------
@@ -583,8 +585,10 @@ impl QuantizedNet {
     /// # Errors
     ///
     /// [`CoreError::BadImage`] on structural defects (already excluded by
-    /// [`ImageView::open`]) and [`CoreError::BadConfig`] for an empty
-    /// layer stack.
+    /// [`ImageView::open`]) and on a layer stack whose shapes do not
+    /// chain (one layer's input length is not the previous layer's
+    /// output length, or the last does not produce `classes` logits);
+    /// [`CoreError::BadConfig`] for an empty layer stack.
     pub fn from_image(view: &ImageView) -> Result<QuantizedNet> {
         let mut layers = Vec::with_capacity(view.n_layers);
         for i in 0..view.n_layers {
@@ -700,23 +704,24 @@ impl ZooBuilder {
 
     /// Serialises the zoo into one aligned buffer.
     pub fn finish(self) -> AlignedBytes {
-        let mut a = AlignedArena::new();
-        a.push_bytes(&[0u8; HEADER_LEN]);
-        let dir_off = a.align_to(SECTION_ALIGN);
-        for _ in &self.entries {
-            a.push_bytes(&[0u8; ZOO_DIR_ENTRY_LEN]);
-        }
+        let mut a = AlignedBytes::new();
+        a.grow_zeroed(HEADER_LEN);
+        a.pad_to(SECTION_ALIGN);
+        let dir_off = a.len();
+        a.grow_zeroed(dir_off + self.entries.len() * ZOO_DIR_ENTRY_LEN);
         let mut dir: Vec<[u64; 4]> = Vec::with_capacity(self.entries.len());
         for (name, _) in &self.entries {
-            let off = a.push_bytes(name.as_bytes());
-            dir.push([off as u64, name.len() as u64, 0, 0]);
+            dir.push([a.len() as u64, name.len() as u64, 0, 0]);
+            a.extend_from_slice(name.as_bytes());
         }
         for ((_, image), d) in self.entries.iter().zip(dir.iter_mut()) {
-            a.align_to(SECTION_ALIGN);
-            d[2] = a.push_bytes(image.as_slice()) as u64;
+            a.pad_to(SECTION_ALIGN);
+            d[2] = a.len() as u64;
+            a.extend_from_slice(image.as_slice());
             d[3] = image.len() as u64;
         }
-        let image_len = a.align_to(SECTION_ALIGN);
+        a.pad_to(SECTION_ALIGN);
+        let image_len = a.len();
 
         let mut h = [0u8; HEADER_LEN];
         h[0..8].copy_from_slice(&ZOO_MAGIC);
@@ -724,21 +729,21 @@ impl ZooBuilder {
         h[12..16].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
         h[16..20].copy_from_slice(&(dir_off as u32).to_le_bytes());
         h[24..32].copy_from_slice(&(image_len as u64).to_le_bytes());
-        a.patch(0, &h);
+        a.as_mut_slice()[..HEADER_LEN].copy_from_slice(&h);
         for (i, d) in dir.iter().enumerate() {
             let mut e = [0u8; ZOO_DIR_ENTRY_LEN];
             e[0..4].copy_from_slice(&(d[0] as u32).to_le_bytes());
             e[4..8].copy_from_slice(&(d[1] as u32).to_le_bytes());
             e[8..16].copy_from_slice(&d[2].to_le_bytes());
             e[16..24].copy_from_slice(&d[3].to_le_bytes());
-            a.patch(dir_off + i * ZOO_DIR_ENTRY_LEN, &e);
+            a.as_mut_slice()[dir_off + i * ZOO_DIR_ENTRY_LEN..][..ZOO_DIR_ENTRY_LEN]
+                .copy_from_slice(&e);
         }
         // Zoo-level CRC covers every byte — directory, names and the
         // embedded model images (each already carrying its own CRC) — so
         // one flipped bit anywhere is caught before any model is opened.
-        let mut image = a.finish();
-        stamp_crc(image.as_mut_slice(), ZOO_CRC_OFF);
-        image
+        stamp_crc(a.as_mut_slice(), ZOO_CRC_OFF);
+        a
     }
 }
 

@@ -185,11 +185,14 @@ impl QuantizedNet {
     }
 
     /// Reassembles a network from its parts (the deployment-image
-    /// deserialiser).
+    /// deserialiser), walking the stack so each shaped layer consumes
+    /// exactly what the previous one produces and the last produces
+    /// `classes` values.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadConfig`] for an empty layer stack.
+    /// Returns [`CoreError::BadConfig`] for an empty layer stack and
+    /// [`CoreError::BadImage`] for an inconsistent one.
     pub(crate) fn from_parts(
         name: String,
         input_format: DfpFormat,
@@ -199,6 +202,22 @@ impl QuantizedNet {
     ) -> Result<Self> {
         if layers.is_empty() || classes == 0 {
             return Err(CoreError::BadConfig("deployment image has no layers".into()));
+        }
+        let mut cur = layers.iter().find_map(layer_in_len).unwrap_or(0);
+        for (i, layer) in layers.iter().enumerate() {
+            match layer_in_len(layer) {
+                Some(need) if need != cur => {
+                    return Err(CoreError::BadImage(format!(
+                        "layer {i} takes {need} values, the layer before produces {cur}"
+                    )));
+                }
+                _ => cur = layer_out_len(layer, cur),
+            }
+        }
+        if cur != classes {
+            return Err(CoreError::BadImage(format!(
+                "layer stack produces {cur} logits, header declares {classes} classes"
+            )));
         }
         Ok(QuantizedNet {
             name,
@@ -243,12 +262,7 @@ impl QuantizedNet {
     /// Serving-side admission control uses this to reject malformed
     /// requests *before* they occupy queue capacity.
     pub fn input_len(&self) -> Option<usize> {
-        self.layers.iter().find_map(|layer| match layer {
-            QLayer::Conv(c) => Some(c.geom.in_c * c.geom.in_h * c.geom.in_w),
-            QLayer::Linear(l) => Some(l.in_features),
-            QLayer::Pool { channels, in_h, in_w, .. } => Some(channels * in_h * in_w),
-            QLayer::Relu => None,
-        })
+        self.layers.iter().find_map(layer_in_len)
     }
 
     /// Peak scratch sizes of the packed forward path, derived from the
@@ -425,8 +439,7 @@ impl QuantizedNet {
         }
         for (idx, layer) in self.layers.iter().enumerate() {
             // Flight-recorder: one span per layer covering the whole
-            // batch, label = layer kind, arg = layer index (a no-op
-            // without the `obs` feature).
+            // batch, label = layer kind, arg = layer index.
             match layer {
                 QLayer::Conv(c) => {
                     let _span = mfdfp_obs::span!("qnet.conv", idx as u64);
@@ -580,6 +593,17 @@ impl QuantizedNet {
             }
         }
         weights.div_ceil(2) + biases
+    }
+}
+
+/// Input element count one layer consumes; `None` for shapeless layers
+/// (ReLU), which take whatever the layer before produces.
+fn layer_in_len(layer: &QLayer) -> Option<usize> {
+    match layer {
+        QLayer::Conv(c) => Some(c.geom.in_c * c.geom.in_h * c.geom.in_w),
+        QLayer::Linear(l) => Some(l.in_features),
+        QLayer::Pool { channels, in_h, in_w, .. } => Some(channels * in_h * in_w),
+        QLayer::Relu => None,
     }
 }
 

@@ -174,3 +174,47 @@ fn image_is_compact() {
     let bound = 64 * (2 * weighted + 3) + 96 * net.layers().len() + net.name().len();
     assert!(len - payload <= bound, "{} bytes of overhead, bound {bound}", len - payload);
 }
+
+/// Re-stamps the model CRC (word 44..48, hashed with that word zeroed)
+/// after a deliberate header or layer-table edit, so the image passes
+/// the checksum and only the structural checks can catch the edit.
+fn restamp(bytes: &mut [u8]) {
+    bytes[44..48].fill(0);
+    let crc = mfdfp_dfp::crc32(bytes);
+    bytes[44..48].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A checksummed image whose layer stack does not chain — a class count
+/// the last layer does not produce, or a pool whose input is not the
+/// previous layer's output — is refused as a typed error at load, never
+/// served into a logit-count panic.
+#[test]
+fn inconsistent_layer_stack_is_rejected_at_load() {
+    let image = to_image(&tiny_qnet(3));
+    // The re-stamped checksum holds, so `open` accepts every variant;
+    // only the layer walk in `from_image` can refuse one.
+    let load = |bytes: &[u8]| {
+        let view = ImageView::open(Arc::new(AlignedBytes::from_slice(bytes))).unwrap();
+        QuantizedNet::from_image(&view)
+    };
+    assert!(load(image.as_slice()).is_ok());
+
+    let mut classes = image.as_slice().to_vec();
+    classes[16..20].copy_from_slice(&9u32.to_le_bytes());
+    restamp(&mut classes);
+    assert!(matches!(load(&classes), Err(CoreError::BadImage(_))));
+
+    // Layer table at the offset in header bytes 32..36, 96 B per entry;
+    // a pool entry (kind 2) keeps its channel count at +12.
+    let mut pool = image.as_slice().to_vec();
+    let ltab = u32::from_le_bytes(pool[32..36].try_into().unwrap()) as usize;
+    let n_layers = u32::from_le_bytes(pool[12..16].try_into().unwrap()) as usize;
+    let entry = (0..n_layers)
+        .map(|i| ltab + 96 * i)
+        .find(|&e| pool[e..e + 4] == 2u32.to_le_bytes())
+        .expect("the test net has a pool layer");
+    let channels = u32::from_le_bytes(pool[entry + 12..entry + 16].try_into().unwrap());
+    pool[entry + 12..entry + 16].copy_from_slice(&(channels + 1).to_le_bytes());
+    restamp(&mut pool);
+    assert!(matches!(load(&pool), Err(CoreError::BadImage(_))));
+}

@@ -7,16 +7,6 @@
 //! sorting, JSON export) happens only when someone asks for a dump.
 //! `std`-only, dependency-free, like the rest of the workspace.
 //!
-//! ## Feature gate
-//!
-//! The whole crate sits behind the `enabled` cargo feature (surfaced as
-//! `obs` by every downstream crate). Instrumented code calls this API
-//! unconditionally; without the feature, [`Span`] is a zero-sized type,
-//! [`span!`] never evaluates its argument, the record functions are empty
-//! `#[inline]` stubs and [`dump`] returns an empty vector — a true no-op,
-//! guarded by an overhead regression test and by the workspace
-//! alloc-regression suite.
-//!
 //! ## The recorder
 //!
 //! * Each thread lazily owns one fixed-capacity ring
@@ -30,8 +20,11 @@
 //!   datapath. A per-slot version counter (seqlock protocol) lets
 //!   [`dump`] skip events that are mid-overwrite, so a dump never
 //!   contains a torn record.
-//! * A process-wide registry keeps one handle per ring (threads register
-//!   on their first event and stay registered after exit), and [`dump`]
+//! * A process-wide registry keeps every ring. A thread takes a ring on
+//!   its first event and hands it back when it exits; the next new
+//!   thread reuses it, so thread-per-connection servers hold no more
+//!   rings than their peak number of live recording threads. A finished
+//!   thread's events stay in the ring until overwritten, and [`dump`]
 //!   merges every ring into one timestamp-ordered event list.
 //!
 //! The [`json`] writer (plain code, present in every build) renders the
@@ -68,8 +61,10 @@ pub use recorder::{dump, now_ns, record_complete, ring_capacity, Span};
 /// One completed span pulled out of a ring by [`dump`].
 ///
 /// `start_ns`/`dur_ns` are nanoseconds on the process-wide monotonic
-/// clock ([`now_ns`]); `thread` is the recording ring's registration
-/// index (stable for the life of the process, dense from 0).
+/// clock ([`now_ns`]); `thread` is the recording ring's index (dense
+/// from 0). A ring has one owner thread at a time and passes to a later
+/// thread when its owner exits, so one id may carry several threads'
+/// events one after another, never interleaved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Static label the span was recorded under (e.g. `"qnet.conv"`).
@@ -81,18 +76,13 @@ pub struct TraceEvent {
     pub start_ns: u64,
     /// Span duration in nanoseconds.
     pub dur_ns: u64,
-    /// Ring (≈ thread) id the event was recorded on.
+    /// Id of the ring the event was recorded on.
     pub thread: u64,
 }
 
 /// Opens a scoped [`Span`]: `span!("label")` or `span!("label", arg)`
 /// where `arg` is a `u64`. The span records itself on this thread's ring
 /// when the guard drops.
-///
-/// Without the `enabled` feature this expands to a zero-sized guard and
-/// the argument expression is **type-checked but never evaluated** — the
-/// macro is a true no-op in disabled builds.
-#[cfg(feature = "enabled")]
 #[macro_export]
 macro_rules! span {
     ($label:expr) => {
@@ -101,26 +91,6 @@ macro_rules! span {
     ($label:expr, $arg:expr) => {
         $crate::Span::enter($label, $arg)
     };
-}
-
-/// Opens a scoped [`Span`] (disabled build: expands to the zero-sized
-/// guard without evaluating the argument — see the `enabled`-build docs).
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! span {
-    ($label:expr) => {{
-        let _ = $label;
-        $crate::Span
-    }};
-    ($label:expr, $arg:expr) => {{
-        // Type-check (and mark used) without evaluating: the closure is
-        // never called and compiles away entirely.
-        let _ = || {
-            let _ = $label;
-            let _arg: u64 = $arg;
-        };
-        $crate::Span
-    }};
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //!
 //! Counters are monotonic since process start (like the `mfdfp-rt` pool
 //! counters); diff two snapshots via [`OpCounters::since`] for
-//! per-interval rates. Without the `enabled` feature the record calls
-//! are empty inline stubs and [`counters`] returns zeros.
+//! per-interval rates.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point-in-time view of the process-wide op counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,82 +54,45 @@ impl OpCounters {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use std::sync::atomic::{AtomicU64, Ordering};
+static SHIFT_MACS: AtomicU64 = AtomicU64::new(0);
+static IM2COL_BYTES: AtomicU64 = AtomicU64::new(0);
+static DECODE_ROWS: AtomicU64 = AtomicU64::new(0);
+static OVERFLOW_AUDITS: AtomicU64 = AtomicU64::new(0);
 
-    use super::OpCounters;
-
-    static SHIFT_MACS: AtomicU64 = AtomicU64::new(0);
-    static IM2COL_BYTES: AtomicU64 = AtomicU64::new(0);
-    static DECODE_ROWS: AtomicU64 = AtomicU64::new(0);
-    static OVERFLOW_AUDITS: AtomicU64 = AtomicU64::new(0);
-
-    /// Adds `n` shift-add MACs (one call per qgemm band).
-    #[inline]
-    pub fn record_shift_macs(n: u64) {
-        SHIFT_MACS.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` gathered im2col staging bytes (one call per conv group).
-    #[inline]
-    pub fn record_im2col_bytes(n: u64) {
-        IM2COL_BYTES.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` decode-path output rows (one call per reference layer).
-    #[inline]
-    pub fn record_decode_rows(n: u64) {
-        DECODE_ROWS.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one tripped overflow audit (error path only).
-    #[inline]
-    pub fn record_overflow_audit() {
-        OVERFLOW_AUDITS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Samples all counters (individually relaxed — a monitoring view,
-    /// not a barrier).
-    pub fn counters() -> OpCounters {
-        OpCounters {
-            shift_macs: SHIFT_MACS.load(Ordering::Relaxed),
-            im2col_bytes: IM2COL_BYTES.load(Ordering::Relaxed),
-            decode_rows: DECODE_ROWS.load(Ordering::Relaxed),
-            overflow_audits: OVERFLOW_AUDITS.load(Ordering::Relaxed),
-        }
-    }
+/// Adds `n` shift-add MACs (one call per qgemm band).
+#[inline]
+pub fn record_shift_macs(n: u64) {
+    SHIFT_MACS.fetch_add(n, Ordering::Relaxed);
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::OpCounters;
-
-    /// Adds `n` shift-add MACs (no-op: telemetry off).
-    #[inline(always)]
-    pub fn record_shift_macs(_n: u64) {}
-
-    /// Adds `n` gathered im2col staging bytes (no-op: telemetry off).
-    #[inline(always)]
-    pub fn record_im2col_bytes(_n: u64) {}
-
-    /// Adds `n` decode-path output rows (no-op: telemetry off).
-    #[inline(always)]
-    pub fn record_decode_rows(_n: u64) {}
-
-    /// Counts one tripped overflow audit (no-op: telemetry off).
-    #[inline(always)]
-    pub fn record_overflow_audit() {}
-
-    /// Samples all counters (always zero: telemetry off).
-    pub fn counters() -> OpCounters {
-        OpCounters::default()
-    }
+/// Adds `n` gathered im2col staging bytes (one call per conv group).
+#[inline]
+pub fn record_im2col_bytes(n: u64) {
+    IM2COL_BYTES.fetch_add(n, Ordering::Relaxed);
 }
 
-pub use imp::{
-    counters, record_decode_rows, record_im2col_bytes, record_overflow_audit, record_shift_macs,
-};
+/// Adds `n` decode-path output rows (one call per reference layer).
+#[inline]
+pub fn record_decode_rows(n: u64) {
+    DECODE_ROWS.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Counts one tripped overflow audit (error path only).
+#[inline]
+pub fn record_overflow_audit() {
+    OVERFLOW_AUDITS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Samples all counters (individually relaxed — a monitoring view,
+/// not a barrier).
+pub fn counters() -> OpCounters {
+    OpCounters {
+        shift_macs: SHIFT_MACS.load(Ordering::Relaxed),
+        im2col_bytes: IM2COL_BYTES.load(Ordering::Relaxed),
+        decode_rows: DECODE_ROWS.load(Ordering::Relaxed),
+        overflow_audits: OVERFLOW_AUDITS.load(Ordering::Relaxed),
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -145,7 +109,6 @@ mod tests {
         assert_eq!(a.total(), 16);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn counters_accumulate_deltas() {
         let before = counters();
@@ -160,16 +123,5 @@ mod tests {
         assert!(d.im2col_bytes >= 64);
         assert!(d.decode_rows >= 3);
         assert!(d.overflow_audits >= 1);
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_counters_stay_zero() {
-        record_shift_macs(1000);
-        record_im2col_bytes(64);
-        record_decode_rows(3);
-        record_overflow_audit();
-        assert_eq!(counters(), OpCounters::default());
-        assert_eq!(counters().total(), 0);
     }
 }

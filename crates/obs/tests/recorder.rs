@@ -1,13 +1,14 @@
-//! Flight-recorder behaviour tests (enabled builds): wraparound
-//! eviction without torn records, cross-thread dump ordering, span
-//! guard semantics, and the span-overhead regression budget.
+//! Flight-recorder behaviour tests: wraparound eviction without torn
+//! records, cross-thread dump ordering, ring reuse after thread exit,
+//! span guard semantics, and the span-overhead regression budget.
 //!
-//! The recorder is process-global and this binary's tests run
-//! concurrently, so every test filters the dump by its own label prefix
-//! and asserts `>=`-style invariants on anything global.
+//! The recorder is process-global and rings pass from exited threads to
+//! new ones, so one test's threads can write into a ring holding another
+//! test's events. Every test that records therefore holds [`serial`],
+//! filters the dump by its own label prefix and asserts `>=`-style
+//! invariants on anything global.
 
-#![cfg(feature = "enabled")]
-
+use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mfdfp_obs::{dump, now_ns, record_complete, ring_capacity, span, TraceEvent};
@@ -16,24 +17,31 @@ fn labelled<'a>(events: &'a [TraceEvent], prefix: &str) -> Vec<&'a TraceEvent> {
     events.iter().filter(|e| e.label.starts_with(prefix)).collect()
 }
 
+/// Serialises the recording tests of this binary.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[test]
 fn wraparound_evicts_oldest_and_never_tears() {
+    let _serial = serial();
     let cap = ring_capacity();
     let extra = 256;
-    // A dedicated thread owns a fresh ring; synthetic timestamps make
-    // the assertions exact. Labels alternate by the parity of the
-    // argument, so a torn record (fields from two different events)
-    // would show up as a label/arg parity mismatch.
-    std::thread::spawn(move || {
+    // A dedicated thread fills its ring past capacity; synthetic
+    // timestamps make the assertions exact. Labels alternate by the
+    // parity of the argument, so a torn record (fields from two
+    // different events) would show up as a label/arg parity mismatch.
+    let events = std::thread::spawn(move || {
         for i in 0..(cap + extra) as u64 {
             let label = if i % 2 == 0 { "wrap.even" } else { "wrap.odd" };
             record_complete(label, i, i, i + 1);
         }
+        dump()
     })
     .join()
     .unwrap();
 
-    let events = dump();
     let ours = labelled(&events, "wrap.");
     assert_eq!(ours.len(), cap, "a full ring holds exactly its capacity");
     let args: Vec<u64> = ours.iter().map(|e| e.arg).collect();
@@ -54,21 +62,24 @@ fn wraparound_evicts_oldest_and_never_tears() {
 fn multi_thread_dump_orders_by_timestamp() {
     const THREADS: u64 = 3;
     const PER_THREAD: u64 = 100;
+    let _serial = serial();
     // Interleaved synthetic timestamps: thread t records starts
     // t, THREADS + t, 2·THREADS + t, … so a correct merge interleaves
-    // all three rings rather than concatenating them.
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            std::thread::spawn(move || {
+    // all three rings rather than concatenating them. The barrier keeps
+    // every thread alive until all have recorded, so none inherits
+    // another's ring.
+    let live = Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let live = &live;
+            s.spawn(move || {
                 for j in 0..PER_THREAD {
                     record_complete("order.ev", t, j * THREADS + t, j * THREADS + t + 1);
                 }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+                live.wait();
+            });
+        }
+    });
 
     let events = dump();
     let ours = labelled(&events, "order.");
@@ -78,13 +89,37 @@ fn multi_thread_dump_orders_by_timestamp() {
     let mut rings: Vec<u64> = ours.iter().map(|e| e.thread).collect();
     rings.sort_unstable();
     rings.dedup();
-    assert_eq!(rings.len(), THREADS as usize, "each recording thread owns its own ring");
+    assert_eq!(rings.len(), THREADS as usize, "each live recording thread owns its own ring");
     // The whole dump (other tests' events included) is start-ordered too.
     assert!(events.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
 }
 
+/// An exited thread's ring goes back to the registry and the next new
+/// thread reuses it: 256 short-lived threads, run one after another,
+/// leave all their events behind on a handful of rings instead of
+/// registering 256 of them.
+#[test]
+fn exited_threads_hand_their_rings_on() {
+    const THREADS: u64 = 256;
+    let _serial = serial();
+    for i in 0..THREADS {
+        std::thread::spawn(move || drop(span!("recycle.ev", i))).join().unwrap();
+    }
+
+    let events = dump();
+    let ours = labelled(&events, "recycle.");
+    let mut args: Vec<u64> = ours.iter().map(|e| e.arg).collect();
+    args.sort_unstable();
+    assert_eq!(args, (0..THREADS).collect::<Vec<_>>(), "every thread's event survives its exit");
+    let mut rings: Vec<u64> = ours.iter().map(|e| e.thread).collect();
+    rings.sort_unstable();
+    rings.dedup();
+    assert!(rings.len() < 32, "{THREADS} sequential threads used {} rings", rings.len());
+}
+
 #[test]
 fn span_guard_records_label_arg_and_duration() {
+    let _serial = serial();
     let before = now_ns();
     {
         let _span = span!("guard.scoped", 77);
@@ -105,7 +140,7 @@ fn clock_is_monotonic() {
     assert!(b >= a);
 }
 
-/// The overhead regression budget: an enabled-but-idle span (create +
+/// The overhead regression budget: an idle span (create +
 /// drop, nobody dumping) must stay within a bounded per-span cost. The
 /// measured cost is two monotonic clock reads plus a few relaxed stores
 /// — ~100 ns on commodity hardware; the budget is 15–20× that so a
@@ -115,6 +150,7 @@ fn clock_is_monotonic() {
 fn span_overhead_within_budget() {
     const SPANS_PER_TRIAL: u32 = 10_000;
     const BUDGET_NS_PER_SPAN: f64 = 2_000.0;
+    let _serial = serial();
     // Warm: ensure this thread's ring is already registered.
     drop(span!("overhead.warm"));
     let mut best = f64::INFINITY;

@@ -53,9 +53,8 @@
 //!    stage breakdown, the datapath op counters with their energy
 //!    estimate and the shared pool's counters.
 //!    [`MetricsSnapshot::to_json`] renders it with the `mfdfp_obs::json`
-//!    writer every body the tier serves uses, under a schema stable
-//!    across feature sets. With the `obs`
-//!    feature the pipeline stages also emit flight-recorder spans
+//!    writer every body the tier serves uses. The pipeline stages also
+//!    emit flight-recorder spans
 //!    (`serve.accept`, `serve.http_parse`, `serve.submit`,
 //!    `serve.route`, `serve.batch_form`, `serve.shed`,
 //!    `serve.queue_wait`, `serve.infer`, `serve.respond`) exportable as

@@ -108,7 +108,7 @@ pub(crate) struct Request {
     pub(crate) metrics_model: Arc<ModelMetrics>,
     pub(crate) image: Tensor,
     pub(crate) submitted: Instant,
-    /// Flight-recorder timestamp of admission (0 without `obs`), so the
+    /// Flight-recorder timestamp of admission, so the
     /// exported trace can show each request's queue-wait span.
     pub(crate) submitted_ns: u64,
     /// Absolute shed deadline (admission time + the caller's budget).

@@ -1,7 +1,7 @@
 //! Aligned scratch arenas — typed, grow-only buffers over the 64-byte
 //! [`AlignedBytes`] storage cell from `mfdfp-dfp`.
 //!
-//! Three layers share one alignment story:
+//! Two layers share one alignment story:
 //!
 //! * [`AlignedBytes`] (re-exported from [`mfdfp_dfp::aligned`]) is the raw
 //!   cell — `std::alloc::Layout`-allocated bytes whose base pointer is
@@ -10,10 +10,6 @@
 //!   [`Workspace`](crate::Workspace) activation/im2col/logit lanes
 //!   are built on it, so every kernel scratch pointer is cache-line (and
 //!   AVX-512 lane) aligned by construction rather than by allocator luck.
-//! * [`AlignedArena`] is an append-only byte builder with explicit
-//!   alignment control — the deployment-image writer in `mfdfp-core` lays
-//!   out header, section table and weight payloads through it, so every
-//!   recorded offset is aligned the moment it is written.
 
 use std::marker::PhantomData;
 
@@ -184,98 +180,6 @@ impl<T: Pod> From<&[T]> for AlignedVec<T> {
     }
 }
 
-/// An append-only aligned byte builder — the writer side of the
-/// deployment-image story.
-///
-/// Every `push_*` returns the byte offset where the data landed, and
-/// [`AlignedArena::align_to`] pads with zeros so the *next* push starts
-/// on a chosen boundary. Because the backing [`AlignedBytes`] base is
-/// 64-byte aligned, an offset that is a multiple of `a` is genuinely
-/// `a`-aligned in memory — the writer's offsets and the reader's typed
-/// views agree by construction.
-///
-/// # Examples
-///
-/// ```
-/// use mfdfp_tensor::arena::AlignedArena;
-///
-/// let mut a = AlignedArena::new();
-/// a.push_bytes(&[1, 2, 3]);
-/// let off = a.align_to(64);
-/// assert_eq!(off, 64);
-/// let w_off = a.push_bytes(&[9; 10]);
-/// assert_eq!(w_off, 64);
-/// let img = a.finish();
-/// assert_eq!(img.len(), 74);
-/// assert_eq!(&img.as_slice()[64..], &[9; 10]);
-/// ```
-#[derive(Debug, Default)]
-pub struct AlignedArena {
-    buf: AlignedBytes,
-}
-
-impl AlignedArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes written so far — the offset the next unaligned push lands at.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Zero-pads until the length is a multiple of `align` (a power of
-    /// two); returns the aligned offset.
-    pub fn align_to(&mut self, align: usize) -> usize {
-        self.buf.pad_to(align);
-        self.buf.len()
-    }
-
-    /// Appends raw bytes; returns the offset of the first byte written.
-    pub fn push_bytes(&mut self, bytes: &[u8]) -> usize {
-        let off = self.buf.len();
-        self.buf.extend_from_slice(bytes);
-        off
-    }
-
-    /// Appends every `i64` as 8 little-endian bytes; returns the offset
-    /// of the first value.
-    pub fn push_i64_le(&mut self, vals: &[i64]) -> usize {
-        let off = self.buf.len();
-        for v in vals {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        off
-    }
-
-    /// A view of the bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        self.buf.as_slice()
-    }
-
-    /// Overwrites `dst..dst + src.len()` with `src` — back-patching a
-    /// header field whose value (e.g. a table offset) is only known after
-    /// later sections land.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range runs past the bytes written so far.
-    pub fn patch(&mut self, dst: usize, src: &[u8]) {
-        self.buf.as_mut_slice()[dst..dst + src.len()].copy_from_slice(src);
-    }
-
-    /// Finishes the build, handing the bytes to the caller.
-    pub fn finish(self) -> AlignedBytes {
-        self.buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,30 +235,5 @@ mod tests {
         let c: AlignedVec<i64> = AlignedVec::from(&[1i64, 2, 4][..]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn arena_layout_is_deterministic() {
-        let mut a = AlignedArena::new();
-        assert!(a.is_empty());
-        let h = a.push_bytes(&[0xAB; 10]);
-        assert_eq!(h, 0);
-        let aligned = a.align_to(64);
-        assert_eq!(aligned % 64, 0);
-        let w = a.push_i64_le(&[-2, 3]);
-        assert_eq!(w, 64);
-        assert_eq!(a.len(), 80);
-        let img = a.finish();
-        assert_eq!(img.view::<i64>(64, 2).unwrap(), &[-2, 3]);
-        assert!(img.as_slice()[10..64].iter().all(|&b| b == 0), "padding is zeroed");
-    }
-
-    #[test]
-    fn arena_patch_overwrites_in_place() {
-        let mut a = AlignedArena::new();
-        a.push_bytes(&[0u8; 16]);
-        a.patch(4, &0xDEADBEEFu32.to_le_bytes());
-        let img = a.finish();
-        assert_eq!(img.view::<u32>(4, 1).unwrap(), &[0xDEADBEEF]);
     }
 }

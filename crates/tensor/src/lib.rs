@@ -45,7 +45,7 @@ mod shape;
 mod tensor;
 pub mod workspace;
 
-pub use arena::{AlignedArena, AlignedBytes, AlignedVec};
+pub use arena::{AlignedBytes, AlignedVec};
 pub use error::{Result, TensorError};
 pub use init::TensorRng;
 pub use ops::conv::{

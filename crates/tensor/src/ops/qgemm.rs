@@ -468,7 +468,7 @@ pub fn qgemm_fused_into_i8(
 /// have already run. The conditions are ordered so a small product never
 /// instantiates the pool.
 ///
-/// The dispatch decision is traced (`obs` feature): one span per call,
+/// The dispatch decision is traced: one span per call,
 /// labelled `qgemm.parallel` or `qgemm.serial` by the path chosen, with
 /// the band's MAC count as the argument — the flight-recorder view of
 /// *which* kernel variant served each layer.

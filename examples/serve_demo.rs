@@ -13,9 +13,9 @@
 //! (JSON) shows the batch-size histogram, throughput and latency
 //! percentiles.
 //!
-//! With a path argument (`… --features obs -- trace.json`) the flight
-//! recorder is drained after shutdown into a Chrome trace-event file for
-//! <https://ui.perfetto.dev>; without `obs` its event list is empty.
+//! With a path argument (`… -- trace.json`) the flight recorder is
+//! drained after shutdown into a Chrome trace-event file for
+//! <https://ui.perfetto.dev>.
 
 use std::sync::Arc;
 use std::time::Duration;

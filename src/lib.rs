@@ -20,8 +20,8 @@
 //!   kernels and the serving dispatch share (lazy global pool, scoped
 //!   fork-join, pool stats).
 //! * [`obs`] — flight-recorder observability: per-thread span rings,
-//!   datapath op counters and a Chrome/Perfetto trace exporter; compiles
-//!   to a no-op unless the `obs` feature is enabled.
+//!   datapath op counters and a Chrome/Perfetto trace exporter, live in
+//!   every build.
 //!
 //! See `README.md` for the quickstart, `ARCHITECTURE.md` for the crate
 //! map, and `PAPER_MAP.md` for the paper-section → code mapping.

@@ -134,9 +134,9 @@ fn dynamic_format_range_claim() {
 /// (energy = per-op energy × op count). The batch-fused forward (one
 /// im2col + one qgemm per layer per batch) must therefore count exactly
 /// the sum of its per-image runs: fusion reshapes the schedule, never
-/// the work. With `obs` off all counters are compile-time zeros and the
-/// equality holds trivially; the `obs` assertion below keeps the test
-/// honest by requiring real counted work on instrumented builds.
+/// the work. The counters are process-global, so the equality is exact
+/// only because this is the one test in this binary that runs
+/// inference; keep it that way.
 #[test]
 fn fused_batch_op_count_equals_sum_of_per_image_counts() {
     use mfdfp::core::{calibrate, QuantizedNet};
@@ -172,11 +172,8 @@ fn fused_batch_op_count_equals_sum_of_per_image_counts() {
         fused_ops.im2col_bytes, per_image_bytes,
         "fusion must stage exactly the per-image gather bytes"
     );
-    #[cfg(feature = "obs")]
-    {
-        assert!(fused_ops.shift_macs > 0, "instrumented builds must observe real MAC work");
-        assert!(fused_ops.im2col_bytes > 0, "conv layers must stage counted bytes");
-    }
+    assert!(fused_ops.shift_macs > 0, "the datapath must count real MAC work");
+    assert!(fused_ops.im2col_bytes > 0, "conv layers must stage counted bytes");
 }
 
 /// Section 5 / Figure 2(a): intermediate wires grow 16→20 bits so that no
