@@ -29,7 +29,7 @@
 //!   rendition of the Figure 2(a) datapath; it is kept as the oracle the
 //!   packed path is property-tested against
 //!   (`tests/qgemm_equivalence.rs`) and as the decode-overhead baseline
-//!   the `qgemm` benches measure.
+//!   the benchmark reads as `core.reference_forward_ms`.
 //!
 //! Both paths compute identical activation codes for every valid input —
 //! integer products are exact and integer addition is order-independent —

@@ -1,15 +1,17 @@
-//! 64-byte-aligned byte storage — the one allocation primitive every
-//! deployed weight buffer in the workspace sits on.
+//! 64-byte-aligned storage — the one buffer type every deployed weight
+//! image, packed weight matrix and inference scratch lane sits on.
 //!
 //! The paper's deployment model (Fig. 2) is a host DMA-ing a packed
 //! weight image into a fixed accelerator buffer: the bytes are laid out
 //! once, aligned for the datapath, and never decoded or copied again.
-//! [`AlignedBytes`] is the software rendition of that buffer — memory
-//! allocated through an explicit [`std::alloc::Layout`] with
-//! [`ALIGN`]-byte (cache-line / AVX-512-lane) alignment, plus safe typed
-//! views (`&[i8]`, `&[u8]`, `&[i64]`, …) carved out at validated offsets.
+//! [`AlignedVec<T>`] is the software rendition of that buffer: a growable
+//! vector of plain-old-data elements kept in a `Vec` of [`ALIGN`]-byte
+//! lines, so std's allocator supplies the alignment, the amortised
+//! growth, `Drop`, `Clone`, `Send` and `Sync`. [`AlignedBytes`]
+//! (`AlignedVec<u8>`) adds the image writer's padding helpers and safe
+//! typed views (`&[i8]`, `&[i64]`, …) carved out at validated offsets.
 //!
-//! Two consumers build on it:
+//! Three consumers build on it:
 //!
 //! * [`PackedPow2Matrix`](crate::PackedPow2Matrix) backs its nibble codes
 //!   with either an owned [`AlignedBytes`] or a shared window into one
@@ -17,57 +19,225 @@
 //!   to the kernel with zero copies.
 //! * [`I64Section`] does the same for bias vectors, which the datapath
 //!   reads as little-endian `i64` accumulator constants.
+//! * `mfdfp-tensor`'s `Workspace` lanes are `AlignedVec<i8>` and
+//!   `AlignedVec<f32>`.
 //!
-//! Alignment contract: the base pointer of every non-empty
-//! [`AlignedBytes`] is [`ALIGN`]-byte aligned, so any interior offset that
-//! is a multiple of `align_of::<T>()` yields a well-aligned `&[T]`.
+//! Alignment contract: the base pointer of every [`AlignedVec`] — empty
+//! ones included — is [`ALIGN`]-byte aligned, so any interior byte offset
+//! that is a multiple of `size_of::<T>()` yields a well-aligned `&[T]`.
+//!
+//! The module's only `unsafe` is one private cast from `&[Line]` to
+//! `&[T]` and its `&mut` twin; every typed slice and view is safe
+//! indexing on top of them.
 
-use std::alloc::{alloc, dealloc, handle_alloc_error, realloc, Layout};
-use std::ptr::NonNull;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::error::{DfpError, Result};
 
-/// Alignment (bytes) of every [`AlignedBytes`] allocation: one x86 cache
+/// Alignment (bytes) of every [`AlignedVec`] allocation: one x86 cache
 /// line, which is also the widest vector lane (AVX-512) any planned
 /// kernel loads.
 pub const ALIGN: usize = 64;
 
 mod sealed {
     pub trait Sealed {}
-    impl Sealed for i8 {}
-    impl Sealed for u8 {}
-    impl Sealed for i32 {}
-    impl Sealed for u32 {}
-    impl Sealed for i64 {}
-    impl Sealed for u64 {}
-    impl Sealed for f32 {}
 }
 
-/// Plain-old-data element types that may view or populate an
-/// [`AlignedBytes`] region: fixed-size numeric types with no padding,
-/// no invalid bit patterns and no drop glue.
+/// Plain-old-data element types that may live in an [`AlignedVec`] or be
+/// viewed out of an [`AlignedBytes`] region: fixed-size numeric types
+/// with no padding, no invalid bit patterns and no drop glue.
 ///
 /// Sealed — implemented for `i8`, `u8`, `i32`, `u32`, `i64`, `u64`,
 /// `f32`.
 pub trait Pod: sealed::Sealed + Copy + Send + Sync + 'static {}
-impl Pod for i8 {}
-impl Pod for u8 {}
-impl Pod for i32 {}
-impl Pod for u32 {}
-impl Pod for i64 {}
-impl Pod for u64 {}
-impl Pod for f32 {}
 
-/// An owned, grow-only byte buffer whose base pointer is always
+macro_rules! pod {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl Pod for $t {}
+        // The `Pod` half of the cast invariant (see `elems`).
+        const _: () = assert!(
+            size_of::<$t>() == align_of::<$t>() && ALIGN.is_multiple_of(size_of::<$t>())
+        );
+    )*};
+}
+
+pod!(i8, u8, i32, u32, i64, u64, f32);
+
+/// One [`ALIGN`]-byte storage line. A `Vec<Line>` is an [`ALIGN`]-aligned
+/// allocation by construction, and its dangling empty pointer is too.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Line([u8; ALIGN]);
+
+const _: () = assert!(size_of::<Line>() == ALIGN && align_of::<Line>() == ALIGN);
+
+/// Every line of `lines`, reinterpreted as `T`s.
+fn elems<T: Pod>(lines: &[Line]) -> &[T] {
+    let n = lines.len() * (ALIGN / size_of::<T>());
+    // SAFETY: the invariant is that every line is initialised and
+    // ALIGN-aligned (`Line` is plain bytes with `align(64)`; an empty
+    // slice's dangling pointer is aligned to `Line` too), and each `Pod`
+    // type's size equals its alignment and divides ALIGN (const-asserted
+    // at `pod!`). So the pointer is aligned for `T`, the `lines.len() *
+    // ALIGN` initialised bytes hold exactly `n` whole `T`s, and every
+    // `Pod` accepts any bit pattern. The result borrows `lines`.
+    unsafe { std::slice::from_raw_parts(lines.as_ptr().cast::<T>(), n) }
+}
+
+/// [`elems`], mutably.
+fn elems_mut<T: Pod>(lines: &mut [Line]) -> &mut [T] {
+    let n = lines.len() * (ALIGN / size_of::<T>());
+    // SAFETY: as `elems`, and the `&mut` borrow makes the view unique.
+    unsafe { std::slice::from_raw_parts_mut(lines.as_mut_ptr().cast::<T>(), n) }
+}
+
+/// A growable vector of [`Pod`] elements whose base pointer is always
 /// [`ALIGN`]-byte aligned.
 ///
-/// This is the storage cell behind deployment images, packed weight
-/// matrices and (via `mfdfp-tensor`'s arena) every inference scratch
-/// lane. Unlike `Vec<u8>` the alignment is part of the type's contract,
-/// so a reader may reinterpret interior ranges as `&[i64]` or stream
-/// rows into aligned SIMD loads without runtime checks beyond offset
-/// arithmetic.
+/// Supports the `Vec` subset the workspace needs — `resize`, `reserve`,
+/// `extend_from_slice`, `push`, slice deref — with the alignment part of
+/// the type's contract, so a reader may stream rows into aligned SIMD
+/// loads without runtime checks beyond offset arithmetic. Lengths may
+/// shrink (cheap, just a counter), but capacity never does: like the
+/// `Workspace` lanes built on it, an `AlignedVec` warms to its peak and
+/// stays there.
+///
+/// # Examples
+///
+/// ```
+/// use mfdfp_dfp::aligned::{AlignedVec, ALIGN};
+///
+/// let mut v: AlignedVec<i64> = AlignedVec::new();
+/// v.resize(5, -1);
+/// v[0] = 42;
+/// assert_eq!(&v[..], &[42, -1, -1, -1, -1]);
+/// assert_eq!(v.as_ptr() as usize % ALIGN, 0);
+/// ```
+#[derive(Clone)]
+pub struct AlignedVec<T: Pod> {
+    /// Backing lines. Lines are appended zeroed and never removed, so
+    /// `lines.len()` is a high-water mark: shrinking and regrowing the
+    /// length within it touches no allocator.
+    lines: Vec<Line>,
+    /// Element count: the first `len` of `elems(&lines)`.
+    len: usize,
+    _elem: PhantomData<T>,
+}
+
+impl<T: Pod> AlignedVec<T> {
+    /// Elements per line.
+    const PER_LINE: usize = ALIGN / size_of::<T>();
+
+    /// An empty vector; allocates nothing until elements are added.
+    pub const fn new() -> Self {
+        AlignedVec { lines: Vec::new(), len: 0, _elem: PhantomData }
+    }
+
+    /// An empty vector with room for `cap` elements (rounded up to whole
+    /// lines).
+    pub fn with_capacity(cap: usize) -> Self {
+        AlignedVec { lines: Vec::with_capacity(cap.div_ceil(Self::PER_LINE)), ..Self::new() }
+    }
+
+    /// Copies `items` into a fresh aligned vector.
+    pub fn from_slice(items: &[T]) -> Self {
+        let mut v = Self::with_capacity(items.len());
+        v.extend_from_slice(items);
+        v
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the vector holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Elements the vector can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.lines.capacity() * Self::PER_LINE
+    }
+
+    /// Base pointer; [`ALIGN`]-byte aligned (for the empty vector it is a
+    /// dangling aligned address, never to be dereferenced).
+    pub fn as_ptr(&self) -> *const T {
+        self.lines.as_ptr().cast()
+    }
+
+    /// Base pointer, mutably (see [`AlignedVec::as_ptr`]).
+    pub fn as_mut_ptr(&mut self) -> *mut T {
+        self.lines.as_mut_ptr().cast()
+    }
+
+    /// The elements as a slice.
+    pub fn as_slice(&self) -> &[T] {
+        &elems(&self.lines)[..self.len]
+    }
+
+    /// The elements as a mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut elems_mut(&mut self.lines)[..self.len]
+    }
+
+    /// Ensures capacity for at least `total` elements (a total, not an
+    /// increment), preserving contents and alignment. Growth at least
+    /// doubles, except from empty, where a planned buffer gets exactly
+    /// its plan; capacity never shrinks.
+    pub fn reserve(&mut self, total: usize) {
+        let (lines, cap) = (total.div_ceil(Self::PER_LINE), self.lines.capacity());
+        if lines > cap {
+            self.lines.reserve_exact(lines.max(2 * cap) - self.lines.len());
+        }
+    }
+
+    /// Sets the length, appending zeroed lines when `len` outgrows the
+    /// high-water mark. Elements past the old length hold zeros or stale
+    /// values until the caller writes them.
+    fn set_len(&mut self, len: usize) {
+        let lines = len.div_ceil(Self::PER_LINE);
+        if lines > self.lines.len() {
+            self.lines.resize(lines, Line([0; ALIGN]));
+        }
+        self.len = len;
+    }
+
+    /// Resizes to `len` elements; new elements are `fill`. Shrinking only
+    /// drops the logical length — capacity is retained, so a warmed
+    /// buffer never re-allocates for a smaller pass.
+    pub fn resize(&mut self, len: usize, fill: T) {
+        let old = self.len;
+        self.set_len(len);
+        if len > old {
+            self.as_mut_slice()[old..].fill(fill);
+        }
+    }
+
+    /// Drops all elements (capacity retained).
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends `items` at the end.
+    pub fn extend_from_slice(&mut self, items: &[T]) {
+        let old = self.len;
+        self.set_len(old + items.len());
+        self.as_mut_slice()[old..].copy_from_slice(items);
+    }
+
+    /// Appends one element.
+    pub fn push(&mut self, item: T) {
+        self.extend_from_slice(&[item]);
+    }
+}
+
+/// An owned, growable byte buffer whose base pointer is always
+/// [`ALIGN`]-byte aligned — the storage cell behind deployment images and
+/// packed weight matrices.
 ///
 /// # Examples
 ///
@@ -83,133 +253,15 @@ impl Pod for f32 {}
 /// assert_eq!(words[0], i64::from_le_bytes([1, 2, 3, 0, 0, 0, 0, 0]));
 /// # Ok::<(), mfdfp_dfp::DfpError>(())
 /// ```
-pub struct AlignedBytes {
-    ptr: NonNull<u8>,
-    len: usize,
-    cap: usize,
-}
+pub type AlignedBytes = AlignedVec<u8>;
 
-// SAFETY: `AlignedBytes` uniquely owns its heap allocation and exposes
-// no interior mutability; moving it between threads or sharing `&self`
-// is as safe as for `Vec<u8>`.
-unsafe impl Send for AlignedBytes {}
-unsafe impl Sync for AlignedBytes {}
-
-impl AlignedBytes {
-    /// An empty buffer; allocates nothing until bytes are appended.
-    pub const fn new() -> Self {
-        // A dangling-but-aligned pointer, same trick as `NonNull::dangling`
-        // but for our 64-byte contract: valid for zero-length reads only.
-        let ptr = unsafe { NonNull::new_unchecked(ALIGN as *mut u8) };
-        AlignedBytes { ptr, len: 0, cap: 0 }
-    }
-
-    /// An empty buffer with room for `cap` bytes (rounded up to a
-    /// multiple of [`ALIGN`]).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut b = Self::new();
-        b.reserve(cap);
-        b
-    }
-
-    /// Copies `bytes` into a fresh aligned buffer.
-    pub fn from_slice(bytes: &[u8]) -> Self {
-        let mut b = Self::with_capacity(bytes.len());
-        b.extend_from_slice(bytes);
-        b
-    }
-
-    /// Number of initialised bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no bytes have been written.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Base pointer; [`ALIGN`]-byte aligned whenever the buffer is
-    /// non-empty (and for the empty buffer it is a dangling aligned
-    /// address, never to be dereferenced).
-    pub fn as_ptr(&self) -> *const u8 {
-        self.ptr.as_ptr()
-    }
-
-    /// Base pointer, mutably (see [`AlignedBytes::as_ptr`]).
-    pub fn as_mut_ptr(&mut self) -> *mut u8 {
-        self.ptr.as_ptr()
-    }
-
-    /// The initialised bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: `..len` is initialised (zeroed or copied on append) and
-        // the allocation outlives `&self`.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// The initialised bytes, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        // SAFETY: as `as_slice`, plus `&mut self` guarantees uniqueness.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// Ensures capacity for at least `total` bytes, preserving contents
-    /// and alignment. Grow-only; never shrinks.
-    pub fn reserve(&mut self, total: usize) {
-        if total <= self.cap {
-            return;
-        }
-        // Amortised doubling, rounded to the alignment quantum.
-        let new_cap = total.max(self.cap * 2).next_multiple_of(ALIGN);
-        let new_layout = Layout::from_size_align(new_cap, ALIGN).expect("valid aligned layout");
-        let new_ptr = if self.cap == 0 {
-            // SAFETY: `new_cap` is non-zero (total > cap = 0 and rounded up).
-            unsafe { alloc(new_layout) }
-        } else {
-            let old_layout =
-                Layout::from_size_align(self.cap, ALIGN).expect("valid aligned layout");
-            // SAFETY: `ptr` was allocated with `old_layout`; `realloc`
-            // preserves the layout's alignment.
-            unsafe { realloc(self.ptr.as_ptr(), old_layout, new_cap) }
-        };
-        let Some(p) = NonNull::new(new_ptr) else { handle_alloc_error(new_layout) };
-        debug_assert_eq!(p.as_ptr() as usize % ALIGN, 0);
-        self.ptr = p;
-        self.cap = new_cap;
-    }
-
-    /// Appends `bytes` at the end of the buffer.
-    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        self.reserve(self.len + bytes.len());
-        // SAFETY: capacity reserved above; source and destination are
-        // distinct allocations.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                self.ptr.as_ptr().add(self.len),
-                bytes.len(),
-            );
-        }
-        self.len += bytes.len();
-    }
-
-    /// Grows the initialised region to `len` bytes, zero-filling the new
-    /// tail. Grow-only: a smaller `len` is a no-op (typed arenas track
-    /// their own logical length on top of this).
+impl AlignedVec<u8> {
+    /// Grows the buffer to `len` bytes, zero-filling the new tail.
+    /// Grow-only: a smaller `len` is a no-op.
     pub fn grow_zeroed(&mut self, len: usize) {
-        if len <= self.len {
-            return;
+        if len > self.len {
+            self.resize(len, 0);
         }
-        self.reserve(len);
-        // SAFETY: capacity reserved above.
-        unsafe {
-            std::ptr::write_bytes(self.ptr.as_ptr().add(self.len), 0, len - self.len);
-        }
-        self.len = len;
     }
 
     /// Appends zero bytes until `len()` is a multiple of `align`
@@ -217,16 +269,7 @@ impl AlignedBytes {
     /// on an aligned boundary.
     pub fn pad_to(&mut self, align: usize) {
         debug_assert!(align.is_power_of_two());
-        let target = self.len.next_multiple_of(align);
-        if target == self.len {
-            return;
-        }
-        self.reserve(target);
-        // SAFETY: capacity reserved above.
-        unsafe {
-            std::ptr::write_bytes(self.ptr.as_ptr().add(self.len), 0, target - self.len);
-        }
-        self.len = target;
+        self.grow_zeroed(self.len.next_multiple_of(align));
     }
 
     /// A typed view of `count` elements of `T` starting at byte
@@ -236,85 +279,69 @@ impl AlignedBytes {
     ///
     /// [`DfpError::Misaligned`] if `offset` is not a multiple of
     /// `align_of::<T>()`; [`DfpError::LengthMismatch`] if the range runs
-    /// past the initialised bytes.
+    /// past the buffer's bytes.
     pub fn view<T: Pod>(&self, offset: usize, count: usize) -> Result<&[T]> {
-        let size = std::mem::size_of::<T>();
-        if !offset.is_multiple_of(std::mem::align_of::<T>()) {
-            return Err(DfpError::Misaligned { offset, align: std::mem::align_of::<T>() });
+        // `size_of::<T>() == align_of::<T>()` for every `Pod`, so an
+        // aligned offset is a whole number of elements.
+        let size = size_of::<T>();
+        if !offset.is_multiple_of(size) {
+            return Err(DfpError::Misaligned { offset, align: size });
         }
-        let bytes = count.checked_mul(size).and_then(|b| b.checked_add(offset));
-        match bytes {
-            Some(end) if end <= self.len => {}
-            _ => {
-                return Err(DfpError::LengthMismatch {
-                    expected: offset.saturating_add(count.saturating_mul(size)),
-                    actual: self.len,
-                })
+        match count.checked_mul(size).and_then(|b| b.checked_add(offset)) {
+            Some(end) if end <= self.len => {
+                let first = offset / size;
+                Ok(&elems(&self.lines)[first..first + count])
             }
+            _ => Err(DfpError::LengthMismatch {
+                expected: offset.saturating_add(count.saturating_mul(size)),
+                actual: self.len,
+            }),
         }
-        if count == 0 {
-            return Ok(&[]);
-        }
-        // SAFETY: bounds and alignment checked above; base pointer is
-        // ALIGN-aligned (>= align_of::<T>() for every Pod type) and the
-        // bytes are initialised. Every Pod type accepts any bit pattern.
-        Ok(unsafe { std::slice::from_raw_parts(self.ptr.as_ptr().add(offset).cast::<T>(), count) })
     }
 }
 
-impl Default for AlignedBytes {
+impl<T: Pod> Default for AlignedVec<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Drop for AlignedBytes {
-    fn drop(&mut self) {
-        if self.cap != 0 {
-            // SAFETY: `ptr` was allocated with exactly this layout.
-            unsafe {
-                dealloc(self.ptr.as_ptr(), Layout::from_size_align_unchecked(self.cap, ALIGN));
-            }
-        }
-    }
-}
-
-impl Clone for AlignedBytes {
-    fn clone(&self) -> Self {
-        Self::from_slice(self.as_slice())
-    }
-}
-
-impl std::fmt::Debug for AlignedBytes {
+impl<T: Pod> std::fmt::Debug for AlignedVec<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlignedBytes").field("len", &self.len).field("cap", &self.cap).finish()
+        f.debug_struct("AlignedVec").field("len", &self.len).field("cap", &self.capacity()).finish()
     }
 }
 
-impl PartialEq for AlignedBytes {
+impl<T: Pod + PartialEq> PartialEq for AlignedVec<T> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl Eq for AlignedBytes {}
+impl<T: Pod + Eq> Eq for AlignedVec<T> {}
 
-impl std::ops::Deref for AlignedBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
+impl<T: Pod> std::ops::Deref for AlignedVec<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
         self.as_slice()
     }
 }
 
-impl From<&[u8]> for AlignedBytes {
-    fn from(bytes: &[u8]) -> Self {
-        Self::from_slice(bytes)
+impl<T: Pod> std::ops::DerefMut for AlignedVec<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        self.as_mut_slice()
     }
 }
 
-impl From<Vec<u8>> for AlignedBytes {
-    fn from(bytes: Vec<u8>) -> Self {
-        Self::from_slice(&bytes)
+impl<T: Pod> From<&[T]> for AlignedVec<T> {
+    fn from(items: &[T]) -> Self {
+        Self::from_slice(items)
+    }
+}
+
+impl<T: Pod> From<Vec<T>> for AlignedVec<T> {
+    fn from(items: Vec<T>) -> Self {
+        Self::from_slice(&items)
     }
 }
 
@@ -436,6 +463,7 @@ mod tests {
         let b = AlignedBytes::new();
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
+        assert_eq!(b.capacity(), 0);
         assert!(b.as_slice().is_empty());
         assert_eq!(b.as_ptr() as usize % ALIGN, 0);
     }
@@ -535,6 +563,60 @@ mod tests {
     fn aligned_bytes_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<AlignedBytes>();
+        assert_send_sync::<AlignedVec<f32>>();
         assert_send_sync::<I64Section>();
+    }
+
+    #[test]
+    fn aligned_vec_behaves_like_vec() {
+        let mut v: AlignedVec<i32> = AlignedVec::new();
+        assert!(v.is_empty());
+        v.resize(3, 7);
+        assert_eq!(&v[..], &[7, 7, 7]);
+        v[1] = -1;
+        v.push(9);
+        assert_eq!(&v[..], &[7, -1, 7, 9]);
+        v.resize(2, 0);
+        assert_eq!(&v[..], &[7, -1]);
+        // Regrowing fills with the new value, not stale data.
+        v.resize(4, 5);
+        assert_eq!(&v[..], &[7, -1, 5, 5]);
+        v.extend_from_slice(&[10, 11]);
+        assert_eq!(v.len(), 6);
+        assert_eq!(&v[4..], &[10, 11]);
+    }
+
+    #[test]
+    fn aligned_vec_pointers_are_aligned() {
+        for n in [1usize, 17, 64, 1000] {
+            let mut v: AlignedVec<i8> = AlignedVec::new();
+            v.resize(n, 1);
+            assert_eq!(v.as_ptr() as usize % ALIGN, 0, "n={n}");
+        }
+        let mut w: AlignedVec<i64> = AlignedVec::with_capacity(4);
+        assert!(w.capacity() >= 4);
+        w.resize(4, -3);
+        assert_eq!(w.as_ptr() as usize % ALIGN, 0);
+    }
+
+    #[test]
+    fn aligned_vec_shrink_keeps_capacity() {
+        let mut v: AlignedVec<f32> = AlignedVec::new();
+        v.resize(100, 0.5);
+        let cap = v.capacity();
+        v.resize(3, 0.0);
+        assert_eq!(v.capacity(), cap);
+        v.clear();
+        assert_eq!(v.capacity(), cap);
+        assert!(v.is_empty());
+    }
+
+    #[test]
+    fn aligned_vec_eq_and_from_slice() {
+        let a: AlignedVec<i64> = AlignedVec::from(&[1i64, 2, 3][..]);
+        let b: AlignedVec<i64> = AlignedVec::from(&[1i64, 2, 3][..]);
+        let c: AlignedVec<i64> = AlignedVec::from(&[1i64, 2, 4][..]);
+        assert_eq!(a, b);
+        assert_ne!(a, c);
     }
 }

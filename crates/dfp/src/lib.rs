@@ -13,9 +13,10 @@
 //!   paper's Figure 2(a), with per-level overflow audits.
 //! * [`RangeStats`] — Ristretto-style calibration that picks each layer's
 //!   fractional length from observed activation ranges.
-//! * [`aligned`] — the 64-byte-aligned storage cell ([`AlignedBytes`])
-//!   that deployment images and packed weight buffers sit on, modelling
-//!   the paper's DMA-able accelerator weight buffer.
+//! * [`aligned`] — the 64-byte-aligned buffer ([`AlignedVec`], with
+//!   [`AlignedBytes`] = `AlignedVec<u8>`) that deployment images, packed
+//!   weight buffers and inference scratch lanes sit on, modelling the
+//!   paper's DMA-able accelerator weight buffer.
 //! * [`crc32`] / [`Crc32`] — hand-rolled CRC-32 (IEEE) that deployment
 //!   images and zoos carry in their headers, so a torn write or flipped
 //!   bit is rejected before any weight byte reaches a kernel.
@@ -54,6 +55,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aligned;
 mod arith;
@@ -64,7 +66,7 @@ mod packed;
 mod pow2;
 mod range;
 
-pub use aligned::{AlignedBytes, I64Section, Pod, ALIGN};
+pub use aligned::{AlignedBytes, AlignedVec, I64Section, Pod, ALIGN};
 pub use arith::{
     fits_in_bits, realign, saturate, shift_round, Accumulator, AdderTree, ACCUMULATOR_BITS,
     PRODUCT_BITS, TREE_ROOT_BITS,

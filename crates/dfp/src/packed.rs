@@ -367,7 +367,7 @@ mod tests {
         assert!(!owned.is_shared());
         assert_eq!(shared, owned);
         assert_eq!(shared.to_weights(), ws);
-        assert_eq!(shared.as_bytes().as_ptr(), unsafe { buf.as_ptr().add(64) });
+        assert_eq!(shared.as_bytes().as_ptr(), buf[64..].as_ptr());
     }
 
     #[test]

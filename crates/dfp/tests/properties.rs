@@ -2,9 +2,12 @@
 //! rest of the workspace (quantizer, integer inference engine, accelerator
 //! datapath) silently relies on.
 
+use std::fmt::Debug;
+
 use mfdfp_dfp::{
-    fits_in_bits, realign, saturate, shift_round, Accumulator, AdderTree, DfpFormat,
-    PackedPow2Matrix, Pow2Weight, RangeStats, EXP_MAX, EXP_MIN, PRODUCT_BITS,
+    fits_in_bits, realign, saturate, shift_round, Accumulator, AdderTree, AlignedBytes, AlignedVec,
+    DfpError, DfpFormat, PackedPow2Matrix, Pod, Pow2Weight, RangeStats, ALIGN, EXP_MAX, EXP_MIN,
+    PRODUCT_BITS,
 };
 use proptest::prelude::*;
 
@@ -215,4 +218,122 @@ proptest! {
 fn exponent_constants_match_paper() {
     assert_eq!(EXP_MIN, -7);
     assert_eq!(EXP_MAX, 0);
+}
+
+/// One step of a buffer-operation sequence: `(operation, size, value seed)`.
+type Step = (u8, usize, u64);
+
+/// Random operation sequences; sizes span several 64-byte lines so
+/// growth, shrinking and regrowth all cross line boundaries.
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    proptest::collection::vec((0u8..7, 0usize..300, proptest::num::u64::ANY), 0..40)
+}
+
+/// Applies one step of the shared `Vec` subset to the buffer and to its
+/// `Vec` mirror.
+fn apply<T: Pod>(
+    v: &mut AlignedVec<T>,
+    mirror: &mut Vec<T>,
+    (op, n, seed): Step,
+    val: fn(u64) -> T,
+) {
+    match op % 5 {
+        0 => {
+            v.resize(n, val(seed));
+            mirror.resize(n, val(seed));
+        }
+        1 => {
+            let items: Vec<T> = (0..n % 9).map(|i| val(seed ^ i as u64)).collect();
+            v.extend_from_slice(&items);
+            mirror.extend_from_slice(&items);
+        }
+        2 => {
+            v.push(val(seed));
+            mirror.push(val(seed));
+        }
+        3 => {
+            v.clear();
+            mirror.clear();
+        }
+        _ => {
+            v.reserve(n);
+            assert!(v.capacity() >= n, "reserve({n}) left capacity {}", v.capacity());
+        }
+    }
+}
+
+/// The invariants every step must keep: same contents as the mirror, an
+/// aligned base pointer, and a capacity that never shrinks.
+fn check<T: Pod + PartialEq + Debug>(v: &AlignedVec<T>, mirror: &[T], cap: &mut usize) {
+    assert_eq!(v.as_slice(), mirror);
+    assert_eq!(v.as_ptr() as usize % ALIGN, 0, "base pointer lost its alignment");
+    assert!(v.capacity() >= (*cap).max(v.len()), "capacity {} after {}", v.capacity(), *cap);
+    *cap = v.capacity();
+}
+
+/// Runs `steps` on an `AlignedVec<T>` against a `Vec<T>` model.
+fn run_model<T: Pod + PartialEq + Debug>(steps: &[Step], val: fn(u64) -> T) {
+    let (mut v, mut mirror, mut cap) = (AlignedVec::<T>::new(), Vec::new(), 0);
+    for &step in steps {
+        apply(&mut v, &mut mirror, step, val);
+        check(&v, &mirror, &mut cap);
+    }
+    assert_eq!(v.clone(), AlignedVec::from(mirror.as_slice()));
+}
+
+/// Every 8-aligned in-bounds `i64` view equals the mirror's
+/// little-endian decode; one word more is a length error, and every
+/// misaligned offset an alignment error.
+fn check_i64_views(b: &AlignedBytes, mirror: &[u8]) {
+    for off in (0..=mirror.len()).step_by(8) {
+        let count = (mirror.len() - off) / 8;
+        let expect: Vec<i64> = mirror[off..off + 8 * count]
+            .chunks_exact(8)
+            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(b.view::<i64>(off, count).unwrap(), expect.as_slice(), "offset {off}");
+        assert!(matches!(b.view::<i64>(off, count + 1), Err(DfpError::LengthMismatch { .. })));
+        for skew in 1..8 {
+            assert!(matches!(
+                b.view::<i64>(off + skew, 0),
+                Err(DfpError::Misaligned { align: 8, .. })
+            ));
+        }
+    }
+}
+
+proptest! {
+    /// `AlignedVec<T>` is a `Vec<T>` with an aligned base: every random
+    /// sequence of resize / extend / push / clear / reserve leaves the
+    /// same contents as on a `Vec`, for byte, word and float elements.
+    #[test]
+    fn aligned_vec_matches_vec_model(steps in steps()) {
+        run_model::<i8>(&steps, |s| s as i8);
+        run_model::<i64>(&steps, |s| s as i64);
+        run_model::<f32>(&steps, |s| (s as i32) as f32 / 8.0);
+    }
+
+    /// The byte buffer adds the image writer's `pad_to` and
+    /// `grow_zeroed` to the same model, and its typed `i64` views agree
+    /// with decoding the model's bytes after every step.
+    #[test]
+    fn aligned_bytes_matches_vec_model_and_views(steps in steps()) {
+        let (mut b, mut mirror, mut cap) = (AlignedBytes::new(), Vec::new(), 0);
+        for &(op, n, seed) in &steps {
+            match op {
+                5 => {
+                    let align = 1 << (n % 8);
+                    b.pad_to(align);
+                    mirror.resize(mirror.len().next_multiple_of(align), 0);
+                }
+                6 => {
+                    b.grow_zeroed(n);
+                    mirror.resize(mirror.len().max(n), 0);
+                }
+                _ => apply(&mut b, &mut mirror, (op, n, seed), |s| s as u8),
+            }
+            check(&b, &mirror, &mut cap);
+            check_i64_views(&b, &mirror);
+        }
+    }
 }

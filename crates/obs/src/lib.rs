@@ -47,6 +47,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![forbid(unsafe_op_in_unsafe_fn)]
 
 mod chrome;

@@ -56,6 +56,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::any::Any;
 use std::collections::VecDeque;

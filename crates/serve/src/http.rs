@@ -241,10 +241,19 @@ fn parse_prefix(
     if request.header("transfer-encoding").is_some() {
         return Err(HttpParseError::UnsupportedTransferEncoding);
     }
-    let content_length = match request.header("content-length") {
-        Some(v) => v.parse::<usize>().map_err(|_| HttpParseError::BadHeader)?,
-        None if matches!(method, "POST" | "PUT") => return Err(HttpParseError::LengthRequired),
-        None => 0,
+    // RFC 9112 §6.3: exactly one `content-length`, and its value is
+    // `1*DIGIT` — a repeated header, a comma list or a sign could frame
+    // the body differently behind a proxy, so each is a 400.
+    let mut lengths = request.headers.iter().filter(|(name, _)| name == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (Some((_, v)), None) if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => {
+            v.parse::<usize>().map_err(|_| HttpParseError::BadHeader)?
+        }
+        (Some(_), _) => return Err(HttpParseError::BadHeader),
+        (None, _) if matches!(method, "POST" | "PUT") => {
+            return Err(HttpParseError::LengthRequired)
+        }
+        (None, _) => 0,
     };
     if content_length > config.max_body_bytes {
         return Err(HttpParseError::BodyTooLarge {
@@ -839,6 +848,25 @@ mod tests {
             parse_request(b"POST /x HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n", &c),
             Err(HttpParseError::UnsupportedTransferEncoding)
         ));
+        // Content-Length is exactly one header of `1*DIGIT`: repeats
+        // (agreeing or not), comma lists, signs, blanks and non-digits
+        // are all rejected before any body byte is framed.
+        for head in [
+            &b"POST /x HTTP/1.1\r\ncontent-length: 2\r\ncontent-length: 5\r\n\r\nab"[..],
+            b"POST /x HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\ncontent-length: 2, 2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\ncontent-length: +2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\ncontent-length: -2\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\ncontent-length:\r\n\r\nab",
+            b"POST /x HTTP/1.1\r\ncontent-length: 0x2\r\n\r\nab",
+            b"GET / HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+        ] {
+            assert!(
+                matches!(parse_request(head, &c), Err(HttpParseError::BadHeader)),
+                "{:?} must be rejected",
+                String::from_utf8_lossy(head)
+            );
+        }
     }
 
     #[test]

@@ -91,7 +91,9 @@ pub struct SubmitOptions {
     /// Time budget from admission. A request still queued when its budget
     /// expires is *shed*: answered with [`ServeError::DeadlineExceeded`]
     /// at batch formation, before any datapath time is spent on it, and
-    /// counted in the `shed` metrics. `None` never sheds.
+    /// counted in the `shed` metrics. `None` never sheds, and neither
+    /// does a budget too large to add to the admission instant (such as
+    /// `Duration::MAX`).
     pub deadline: Option<Duration>,
     /// Scheduling class; see [`Priority`].
     pub priority: Priority,
@@ -111,7 +113,8 @@ pub(crate) struct Request {
     /// Flight-recorder timestamp of admission, so the
     /// exported trace can show each request's queue-wait span.
     pub(crate) submitted_ns: u64,
-    /// Absolute shed deadline (admission time + the caller's budget).
+    /// Absolute shed deadline (admission time + the caller's budget;
+    /// `None` when there is none or it lies beyond `Instant`'s range).
     pub(crate) deadline: Option<Instant>,
     pub(crate) tx: mpsc::Sender<Result<Response>>,
 }
@@ -267,7 +270,7 @@ impl Server {
             image,
             submitted,
             submitted_ns: mfdfp_obs::now_ns(),
-            deadline: opts.deadline.map(|d| submitted + d),
+            deadline: opts.deadline.and_then(|d| submitted.checked_add(d)),
             tx,
         };
         let shard = &self.shards[Self::route(model, self.shards.len())];

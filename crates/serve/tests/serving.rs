@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use mfdfp_core::{calibrate, Ensemble, QuantizedNet};
 use mfdfp_nn::zoo;
-use mfdfp_serve::{ModelRegistry, ServeConfig, ServeError, Server};
+use mfdfp_serve::{ModelRegistry, ServeConfig, ServeError, Server, SubmitOptions};
 use mfdfp_tensor::{Tensor, TensorRng};
 
 /// A small calibrated MF-DFP network (3×16×16 input, 10 classes).
@@ -507,6 +507,32 @@ fn snapshot_breaks_down_stages_models_ops_and_energy() {
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }
+    server.shutdown();
+}
+
+/// A budget too large to add to the admission instant (`Duration::MAX`)
+/// never sheds. Admission takes the model's only quota slot before it
+/// computes the deadline, so the request must be answered bit-exactly and
+/// hand the slot back, or the next submit would be refused.
+#[test]
+fn unbounded_deadline_is_served_and_releases_its_quota_slot() {
+    let q = tiny_qnet(31);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("tiny", q.clone());
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServeConfig { workers: 1, model_quota: Some(1), ..Default::default() },
+    )
+    .unwrap();
+    let opts = SubmitOptions { deadline: Some(Duration::MAX), ..Default::default() };
+    for img in &images(2, 31) {
+        let response = server.submit_with("tiny", img.clone(), opts).unwrap().wait().unwrap();
+        assert_eq!(bits(&response.logits), bits(&q.logits(img).unwrap()));
+        let snap = server.metrics();
+        let m = snap.models.iter().find(|m| m.name == "tiny").unwrap();
+        assert_eq!(m.in_flight, 0, "an answered request must release its quota slot");
+    }
+    assert_eq!(server.metrics().completed, 2);
     server.shutdown();
 }
 

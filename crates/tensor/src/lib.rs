@@ -35,8 +35,8 @@
 //! ```
 
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
-pub mod arena;
 mod error;
 mod init;
 pub mod ops;
@@ -45,9 +45,9 @@ mod shape;
 mod tensor;
 pub mod workspace;
 
-pub use arena::{AlignedBytes, AlignedVec};
 pub use error::{Result, TensorError};
 pub use init::TensorRng;
+pub use mfdfp_dfp::{AlignedBytes, AlignedVec};
 pub use ops::conv::{
     col2im, conv2d_backward, conv2d_forward, conv2d_forward_parallel, conv2d_forward_serial,
     im2col, im2col_batched_i8, ConvGeometry,

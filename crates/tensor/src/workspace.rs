@@ -29,7 +29,7 @@
 
 use std::cell::RefCell;
 
-use crate::arena::AlignedVec;
+use mfdfp_dfp::AlignedVec;
 
 /// Peak scratch-buffer sizes for one model, as computed from its layer
 /// geometry (e.g. by `QuantizedNet::plan()` in `mfdfp-core`). Feeding a
@@ -165,8 +165,8 @@ impl Workspace {
 
     /// The im2col staging buffer, resized to exactly `len` elements
     /// (stale contents are overwritten by the gather, not cleared here;
-    /// [`AlignedVec::resize`](crate::arena::AlignedVec::resize) never
-    /// sheds capacity, so a warmed buffer just gets a length bump).
+    /// [`AlignedVec::resize`] never sheds capacity, so a warmed buffer
+    /// just gets a length bump).
     pub fn im2col_i8(&mut self, len: usize) -> &mut [i8] {
         self.im2col.resize(len, 0);
         &mut self.im2col[..len]
