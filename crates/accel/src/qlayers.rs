@@ -31,6 +31,14 @@
 //!   (`tests/qgemm_equivalence.rs`) and as the decode-overhead baseline
 //!   the benchmark reads as `core.reference_forward_ms`.
 //!
+//! The NL unit has two renderings too. A lowered network folds a ReLU into
+//! the routing clamp of the layer before it
+//! ([`ShiftConv::run_batch_railed_into`], lower rail 0); [`relu_codes`] is
+//! the standalone pass, for the oracle and for ReLUs no routing block can
+//! absorb. Pooling runs as a separable lane-wise pass over a fused batch
+//! ([`max_pool_codes_batch_into`]); [`max_pool_codes`] /
+//! [`avg_pool_codes`] keep the tap-by-tap loop as its oracle.
+//!
 //! Both paths compute identical activation codes for every valid input —
 //! integer products are exact and integer addition is order-independent —
 //! so `mfdfp-core` can serve traffic on the packed path while the audit
@@ -43,7 +51,7 @@
 
 use mfdfp_dfp::{Accumulator, AdderTree, I64Section, PackedPow2Matrix, Pow2Weight};
 use mfdfp_tensor::{
-    im2col_batched_i8, qgemm_fused_into_i8, with_thread_workspace, ConvGeometry, Workspace,
+    im2col_batched_i8, qgemm_fused_railed_into_i8, with_thread_workspace, ConvGeometry, Workspace,
 };
 
 use crate::error::{AccelError, Result};
@@ -123,6 +131,25 @@ impl ShiftConv {
         ws: &mut Workspace,
         out: &mut [i8],
     ) -> Result<()> {
+        self.run_batch_railed_into(input, batch, ws, i8::MIN, out)
+    }
+
+    /// [`ShiftConv::run_batch_into`] with the routing block's lower rail
+    /// `lo` ([`mfdfp_tensor::qgemm_fused_railed_into_i8`]): every output
+    /// code is `max(lo, code)`. `lo = 0` is this layer followed by ReLU,
+    /// computed in the one clamp routing already does.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShiftConv::run_batch_into`].
+    pub fn run_batch_railed_into(
+        &self,
+        input: &[i8],
+        batch: usize,
+        ws: &mut Workspace,
+        lo: i8,
+        out: &mut [i8],
+    ) -> Result<()> {
         if batch == 0 {
             return Err(AccelError::BadConfig("conv batch must be positive".into()));
         }
@@ -154,7 +181,7 @@ impl ShiftConv {
             // staged here equals the sum of the per-image gathers.
             mfdfp_obs::ops::record_im2col_bytes((syn * npix * batch) as u64);
             let row0 = grp * group_out;
-            qgemm_fused_into_i8(
+            qgemm_fused_railed_into_i8(
                 &self.weights,
                 row0,
                 group_out,
@@ -164,6 +191,7 @@ impl ShiftConv {
                 &self.bias[row0..row0 + group_out],
                 acc_frac,
                 self.out_frac as i32,
+                lo,
                 &mut out[row0 * npix * batch..(row0 + group_out) * npix * batch],
             )
             .map_err(AccelError::Tensor)?;
@@ -324,6 +352,22 @@ impl ShiftLinear {
     /// [`AccelError::BadInput`] on length mismatches, and propagates the
     /// kernel's overflow audits as [`AccelError::Tensor`].
     pub fn run_batch_into(&self, input: &[i8], batch: usize, out: &mut [i8]) -> Result<()> {
+        self.run_batch_railed_into(input, batch, i8::MIN, out)
+    }
+
+    /// [`ShiftLinear::run_batch_into`] with the routing block's lower
+    /// rail `lo` (see [`ShiftConv::run_batch_railed_into`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ShiftLinear::run_batch_into`].
+    pub fn run_batch_railed_into(
+        &self,
+        input: &[i8],
+        batch: usize,
+        lo: i8,
+        out: &mut [i8],
+    ) -> Result<()> {
         if batch == 0 {
             return Err(AccelError::BadConfig("linear batch must be positive".into()));
         }
@@ -342,7 +386,7 @@ impl ShiftLinear {
             });
         }
         let acc_frac = self.in_frac as i32 + PRODUCT_FRAC_SHIFT;
-        qgemm_fused_into_i8(
+        qgemm_fused_railed_into_i8(
             &self.weights,
             0,
             self.out_features,
@@ -352,6 +396,7 @@ impl ShiftLinear {
             &self.bias,
             acc_frac,
             self.out_frac as i32,
+            lo,
             out,
         )
         .map_err(AccelError::Tensor)
@@ -450,12 +495,12 @@ fn mac_reduce(
     Ok(acc.route(acc_frac, out_frac, 8) as i8)
 }
 
-/// ReLU on activation codes (the NL unit): `max(0, code)`.
+/// ReLU on activation codes (the NL unit): `max(0, code)`. A lowered
+/// network runs it only where no routing block can absorb it as its
+/// lower rail ([`ShiftConv::run_batch_railed_into`]).
 pub fn relu_codes(codes: &mut [i8]) {
     for c in codes {
-        if *c < 0 {
-            *c = 0;
-        }
+        *c = (*c).max(0);
     }
 }
 
@@ -466,8 +511,10 @@ pub fn relu_codes(codes: &mut [i8]) {
 ///
 /// # Errors
 ///
-/// Returns [`AccelError::BadConfig`] for a zero window or stride — the
-/// one configuration with no defined output size.
+/// Returns [`AccelError::BadConfig`] for a zero window or stride, and
+/// for a stride wider than the window whose last window would start past
+/// the input's edge (it would pool nothing) — the configurations with no
+/// defined output.
 pub fn pool_out_dims(
     in_h: usize,
     in_w: usize,
@@ -479,6 +526,11 @@ pub fn pool_out_dims(
     }
     let oh = (in_h - window.min(in_h)).div_ceil(stride) + 1;
     let ow = (in_w - window.min(in_w)).div_ceil(stride) + 1;
+    if (oh - 1) * stride >= in_h || (ow - 1) * stride >= in_w {
+        return Err(AccelError::BadConfig(format!(
+            "pool window {window} at stride {stride} starts past the {in_h}x{in_w} input"
+        )));
+    }
     Ok((oh, ow))
 }
 
@@ -528,6 +580,14 @@ pub fn avg_pool_codes(
 /// is reduced independently per image, so the result is bit-identical to
 /// `batch` per-image pooling calls, de-interleaved.
 ///
+/// The pass is separable and lane-wise: per output row it folds the
+/// window's input rows over contiguous `in_w · batch` codes, then each
+/// output's window columns over contiguous batch lanes, then finishes
+/// the row; scratch is one fixed-size stack chunk. Max (and the integer
+/// sum an average divides) do not depend on the order taps are combined
+/// in, so this equals the tap-by-tap oracle behind [`max_pool_codes`]
+/// exactly (property-tested in `tests/properties.rs`).
+///
 /// # Errors
 ///
 /// Returns [`AccelError::BadConfig`] for a zero batch (or zero
@@ -543,7 +603,10 @@ pub fn max_pool_codes_batch_into(
     batch: usize,
     out: &mut [i8],
 ) -> Result<()> {
-    pool_codes_batch_into(input, channels, in_h, in_w, window, stride, true, batch, out)
+    let frame =
+        PoolFrame::new(input.len(), channels, in_h, in_w, window, stride, batch, out.len())?;
+    frame.run::<MaxOp>(input, out);
+    Ok(())
 }
 
 /// [`avg_pool_codes`] into a caller buffer over a fused batch in the
@@ -566,9 +629,17 @@ pub fn avg_pool_codes_batch_into(
     batch: usize,
     out: &mut [i8],
 ) -> Result<()> {
-    pool_codes_batch_into(input, channels, in_h, in_w, window, stride, false, batch, out)
+    let frame =
+        PoolFrame::new(input.len(), channels, in_h, in_w, window, stride, batch, out.len())?;
+    frame.run::<AvgOp>(input, out);
+    Ok(())
 }
 
+/// The pooling oracle: one window at a time, one tap at a time, exactly
+/// as the float framework pools. [`max_pool_codes`] / [`avg_pool_codes`]
+/// — and through them the decode-oracle forward — run this loop, never
+/// the separable batched pass, so the property suite compares two
+/// independent implementations.
 #[allow(clippy::too_many_arguments)] // private pooling frame + mode flag
 fn pool_codes_alloc(
     input: &[i8],
@@ -579,46 +650,13 @@ fn pool_codes_alloc(
     stride: usize,
     is_max: bool,
 ) -> Result<Vec<i8>> {
-    let (oh, ow) = pool_out_dims(in_h, in_w, window, stride)?;
-    let mut out = vec![0i8; channels * oh * ow];
-    // `batch = 1` is exactly the per-image layout and loop.
-    pool_codes_batch_into(input, channels, in_h, in_w, window, stride, is_max, 1, &mut out)?;
-    Ok(out)
-}
-
-/// The pooling workhorse, generalized over the fused batch dimension:
-/// input element `(c, iy, ix)` of image `b` lives at
-/// `((c·in_h + iy)·in_w + ix)·batch + b` and the output uses the same
-/// interleave. Each image's window reduction runs in the identical
-/// per-element order, so larger batches are bit-identical to
-/// de-interleaved `batch = 1` calls.
-#[allow(clippy::too_many_arguments)] // private pooling frame + mode flag + batch
-fn pool_codes_batch_into(
-    input: &[i8],
-    channels: usize,
-    in_h: usize,
-    in_w: usize,
-    window: usize,
-    stride: usize,
-    is_max: bool,
-    batch: usize,
-    out: &mut [i8],
-) -> Result<()> {
-    if batch == 0 {
-        return Err(AccelError::BadConfig("pool batch must be positive".into()));
-    }
-    let expect = channels * in_h * in_w * batch;
+    let expect = channels * in_h * in_w;
     if input.len() != expect {
         return Err(AccelError::BadInput { expected: expect, actual: input.len() });
     }
     // Ceil-mode output size, matching the float framework.
     let (oh, ow) = pool_out_dims(in_h, in_w, window, stride)?;
-    if out.len() != channels * oh * ow * batch {
-        return Err(AccelError::BadInput {
-            expected: channels * oh * ow * batch,
-            actual: out.len(),
-        });
-    }
+    let mut out = Vec::with_capacity(channels * oh * ow);
     for c in 0..channels {
         for oy in 0..oh {
             for ox in 0..ow {
@@ -626,36 +664,262 @@ fn pool_codes_batch_into(
                 let x0 = ox * stride;
                 let y1 = (y0 + window).min(in_h);
                 let x1 = (x0 + window).min(in_w);
-                let obase = ((c * oh + oy) * ow + ox) * batch;
-                for b in 0..batch {
-                    let v = if is_max {
-                        let mut best = i8::MIN;
-                        for iy in y0..y1 {
-                            for ix in x0..x1 {
-                                best = best.max(input[((c * in_h + iy) * in_w + ix) * batch + b]);
-                            }
+                let v = if is_max {
+                    let mut best = i8::MIN;
+                    for iy in y0..y1 {
+                        for ix in x0..x1 {
+                            best = best.max(input[(c * in_h + iy) * in_w + ix]);
                         }
-                        best
-                    } else {
-                        let mut sum = 0i32;
-                        let count = ((y1 - y0) * (x1 - x0)) as i32;
-                        for iy in y0..y1 {
-                            for ix in x0..x1 {
-                                sum += input[((c * in_h + iy) * in_w + ix) * batch + b] as i32;
-                            }
+                    }
+                    best
+                } else {
+                    let mut sum = 0i32;
+                    let count = ((y1 - y0) * (x1 - x0)) as i32;
+                    for iy in y0..y1 {
+                        for ix in x0..x1 {
+                            sum += input[(c * in_h + iy) * in_w + ix] as i32;
                         }
-                        // Round half away from zero.
-                        let half = count / 2;
-                        let q =
-                            if sum >= 0 { (sum + half) / count } else { -((-sum + half) / count) };
-                        q.clamp(i8::MIN as i32, i8::MAX as i32) as i8
-                    };
-                    out[obase + b] = v;
+                    }
+                    // Round half away from zero.
+                    let half = count / 2;
+                    let q = if sum >= 0 { (sum + half) / count } else { -((-sum + half) / count) };
+                    q.clamp(i8::MIN as i32, i8::MAX as i32) as i8
+                };
+                out.push(v);
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Codes per stack scratch chunk of the batched pooling pass: the
+/// row-reduced input span of a run of output columns (`i8` maxima or
+/// `i32` sums — 8 KiB at most).
+const POOL_CHUNK: usize = 2048;
+
+/// The reduction a pooling window applies, in the accumulator width it
+/// needs: `i8` for max (exact by monotonicity), `i32` for the sum an
+/// average divides (a window of `n` codes sums to at most `128 · n`).
+trait PoolOp {
+    type Acc: Copy + Default;
+    fn load(x: i8) -> Self::Acc;
+    fn fold(a: Self::Acc, b: Self::Acc) -> Self::Acc;
+    /// The output code of a window of `count` taps that reduced to `acc`.
+    fn finish(acc: Self::Acc, count: i32) -> i8;
+}
+
+struct MaxOp;
+
+impl PoolOp for MaxOp {
+    type Acc = i8;
+    #[inline(always)]
+    fn load(x: i8) -> i8 {
+        x
+    }
+    #[inline(always)]
+    fn fold(a: i8, b: i8) -> i8 {
+        a.max(b)
+    }
+    #[inline(always)]
+    fn finish(acc: i8, _count: i32) -> i8 {
+        acc
+    }
+}
+
+struct AvgOp;
+
+impl PoolOp for AvgOp {
+    type Acc = i32;
+    #[inline(always)]
+    fn load(x: i8) -> i32 {
+        x as i32
+    }
+    #[inline(always)]
+    fn fold(a: i32, b: i32) -> i32 {
+        a + b
+    }
+    /// Round half away from zero: the magnitude plus half the population,
+    /// truncated, with the sign put back by mask. The mean of `i8` codes
+    /// is an `i8`, so no clamp is needed.
+    #[inline(always)]
+    fn finish(sum: i32, count: i32) -> i8 {
+        let sign = sum >> 31;
+        let q = (((sum ^ sign) - sign) + count / 2) / count;
+        ((q ^ sign) - sign) as i8
+    }
+}
+
+/// A validated batched pooling call.
+struct PoolFrame {
+    channels: usize,
+    in_h: usize,
+    in_w: usize,
+    window: usize,
+    stride: usize,
+    batch: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl PoolFrame {
+    #[allow(clippy::too_many_arguments)] // pooling frame + batch + buffer lengths
+    fn new(
+        input_len: usize,
+        channels: usize,
+        in_h: usize,
+        in_w: usize,
+        window: usize,
+        stride: usize,
+        batch: usize,
+        out_len: usize,
+    ) -> Result<PoolFrame> {
+        if batch == 0 {
+            return Err(AccelError::BadConfig("pool batch must be positive".into()));
+        }
+        let expect = channels * in_h * in_w * batch;
+        if input_len != expect {
+            return Err(AccelError::BadInput { expected: expect, actual: input_len });
+        }
+        let (oh, ow) = pool_out_dims(in_h, in_w, window, stride)?;
+        if out_len != channels * oh * ow * batch {
+            return Err(AccelError::BadInput {
+                expected: channels * oh * ow * batch,
+                actual: out_len,
+            });
+        }
+        Ok(PoolFrame { channels, in_h, in_w, window, stride, batch, oh, ow })
+    }
+
+    /// Runs the pass with the widest lane group that divides the batch.
+    fn run<P: PoolOp>(&self, input: &[i8], out: &mut [i8]) {
+        match self.batch {
+            b if b % 8 == 0 => self.run_lanes::<P, 8>(input, out),
+            b if b % 4 == 0 => self.run_lanes::<P, 4>(input, out),
+            b if b % 2 == 0 => self.run_lanes::<P, 2>(input, out),
+            _ => self.run_lanes::<P, 1>(input, out),
+        }
+    }
+
+    /// The separable pass, one output row `(c, oy)` and one run of its
+    /// output columns at a time:
+    ///
+    /// 1. fold the window's input rows together, element-wise over the
+    ///    run's contiguous `columns · batch` codes;
+    /// 2. fold each output's window columns, `L` lanes at a time;
+    /// 3. finish each output (avg: round-half-away division by the
+    ///    window's population) straight into `out`.
+    ///
+    /// Exact, not approximate: max and integer addition are associative
+    /// and commutative, so reducing a window by rows then columns gives
+    /// the same value as the oracle's tap-by-tap order, and ceil-mode
+    /// clipping removes the same taps from both (the population is the
+    /// clipped rows times the clipped columns). Lanes never mix: every
+    /// fold combines codes of one image.
+    fn run_lanes<P: PoolOp, const L: usize>(&self, input: &[i8], out: &mut [i8]) {
+        let (batch, stride, window) = (self.batch, self.stride, self.window);
+        let span_of = |x0: usize| (x0 + window).min(self.in_w) - x0;
+        if span_of(0) * batch > POOL_CHUNK {
+            // One window row is wider than a chunk: no output fits.
+            return self.run_taps::<P>(input, out);
+        }
+        // Output columns per run: as many as an unclipped window span
+        // fits in a chunk; at least one (a window wider than a chunk is
+        // wider than the input, so there is one output column).
+        let chunk_cols = POOL_CHUNK / batch;
+        let run = if window <= chunk_cols { (chunk_cols - window) / stride + 1 } else { 1 };
+        let mut rows = [P::Acc::default(); POOL_CHUNK];
+        let in_row = self.in_w * batch;
+        let out_row = self.ow * batch;
+        for c in 0..self.channels {
+            for oy in 0..self.oh {
+                let y0 = oy * stride;
+                let y1 = (y0 + window).min(self.in_h);
+                let orow = &mut out[(c * self.oh + oy) * out_row..][..out_row];
+                for ox0 in (0..self.ow).step_by(run) {
+                    let ox1 = (ox0 + run).min(self.ow);
+                    let x_lo = ox0 * stride;
+                    let x_hi = (ox1 - 1) * stride + span_of((ox1 - 1) * stride);
+                    let acc = &mut rows[..(x_hi - x_lo) * batch];
+                    // Step 1: rows.
+                    let at = |iy: usize| &input[(c * self.in_h + iy) * in_row + x_lo * batch..];
+                    for (a, &x) in acc.iter_mut().zip(at(y0)) {
+                        *a = P::load(x);
+                    }
+                    for iy in y0 + 1..y1 {
+                        for (a, &x) in acc.iter_mut().zip(at(iy)) {
+                            *a = P::fold(*a, P::load(x));
+                        }
+                    }
+                    // Steps 2 and 3: columns, then finish.
+                    let dsts = orow[ox0 * batch..ox1 * batch].chunks_exact_mut(batch);
+                    for (ox, dst) in (ox0..ox1).zip(dsts) {
+                        let x0 = ox * stride - x_lo;
+                        let span = span_of(ox * stride);
+                        let count = ((y1 - y0) * span) as i32;
+                        let win = &acc[x0 * batch..(x0 + span) * batch];
+                        if batch == L {
+                            // One lane group: the window's columns are
+                            // consecutive `L`-lane chunks.
+                            fold_columns::<P, L>(win.chunks_exact(L), count, dst);
+                            continue;
+                        }
+                        for (g, d) in dst.chunks_exact_mut(L).enumerate() {
+                            let cols = win.chunks_exact(batch).map(|col| &col[g * L..][..L]);
+                            fold_columns::<P, L>(cols, count, d);
+                        }
+                    }
                 }
             }
         }
     }
-    Ok(())
+
+    /// Tap-by-tap fallback for windows too wide for a scratch chunk.
+    fn run_taps<P: PoolOp>(&self, input: &[i8], out: &mut [i8]) {
+        let batch = self.batch;
+        for c in 0..self.channels {
+            for oy in 0..self.oh {
+                for ox in 0..self.ow {
+                    let (y0, x0) = (oy * self.stride, ox * self.stride);
+                    let y1 = (y0 + self.window).min(self.in_h);
+                    let x1 = (x0 + self.window).min(self.in_w);
+                    let count = ((y1 - y0) * (x1 - x0)) as i32;
+                    for b in 0..batch {
+                        let mut taps = (y0..y1)
+                            .flat_map(|iy| (x0..x1).map(move |ix| (iy, ix)))
+                            .map(|(iy, ix)| {
+                                P::load(input[((c * self.in_h + iy) * self.in_w + ix) * batch + b])
+                            });
+                        let first = taps.next().expect("pool_out_dims keeps windows non-empty");
+                        let o = ((c * self.oh + oy) * self.ow + ox) * batch + b;
+                        out[o] = P::finish(taps.fold(first, P::fold), count);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Step 2 and 3 of the separable pass for one `L`-lane group of one
+/// output: folds the window's columns (`L` lanes each, in window order)
+/// and finishes the `L` outputs into `out`.
+#[inline(always)]
+fn fold_columns<'a, P: PoolOp, const L: usize>(
+    mut cols: impl Iterator<Item = &'a [P::Acc]>,
+    count: i32,
+    out: &mut [i8],
+) where
+    P::Acc: 'a,
+{
+    let first = cols.next().expect("pool windows are non-empty");
+    let mut v: [P::Acc; L] = first.try_into().expect("L lanes");
+    for col in cols {
+        for (vl, &al) in v.iter_mut().zip(col) {
+            *vl = P::fold(*vl, al);
+        }
+    }
+    for (o, &vl) in out.iter_mut().zip(&v) {
+        *o = P::finish(vl, count);
+    }
 }
 
 #[cfg(test)]

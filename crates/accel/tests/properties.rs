@@ -2,13 +2,136 @@
 //! against exact arithmetic, and structural invariants of the cost model.
 
 use mfdfp_accel::{
-    avg_pool_codes, design_metrics, max_pool_codes, relu_codes, schedule_network,
-    AcceleratorConfig, ComponentLibrary, DmaModel, Precision, ShiftLinear,
+    avg_pool_codes, avg_pool_codes_batch_into, design_metrics, max_pool_codes,
+    max_pool_codes_batch_into, pool_out_dims, relu_codes, schedule_network, AcceleratorConfig,
+    ComponentLibrary, DmaModel, Precision, ShiftLinear,
 };
 use mfdfp_dfp::{AdderTree, PackedPow2Matrix, Pow2Weight};
 use mfdfp_nn::zoo;
 use mfdfp_tensor::TensorRng;
 use proptest::prelude::*;
+
+/// `batch` images of `len` codes from a xorshift stream, one in four a
+/// rail (−128, 127) or −1 so windows meet the extremes and the negative
+/// `.5` ties of a round-half-away average.
+fn pool_images(seed: u64, len: usize, batch: usize) -> Vec<Vec<i8>> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..batch)
+        .map(|_| {
+            (0..len)
+                .map(|_| match next() % 16 {
+                    0 => -128,
+                    1 => 127,
+                    2 => -1,
+                    _ => (next() % 256) as u8 as i8,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Pools `images` both ways — interleaved through the batched entry, and
+/// one image at a time through the tap-by-tap oracle — and checks the
+/// batched result, de-interleaved, against the oracle's. A geometry the
+/// oracle refuses must be refused by the batched entry too.
+fn check_batched_pool(
+    images: &[Vec<i8>],
+    channels: usize,
+    in_h: usize,
+    in_w: usize,
+    window: usize,
+    stride: usize,
+) {
+    let batch = images.len();
+    let per = images[0].len();
+    let mut fused = vec![0i8; per * batch];
+    for (b, img) in images.iter().enumerate() {
+        for (e, &v) in img.iter().enumerate() {
+            fused[e * batch + b] = v;
+        }
+    }
+    let frame = format!("{channels}x{in_h}x{in_w} window {window}/{stride} batch {batch}");
+    let Ok((oh, ow)) = pool_out_dims(in_h, in_w, window, stride) else {
+        let mut out = vec![0i8; channels * batch];
+        assert!(max_pool_codes(&images[0], channels, in_h, in_w, window, stride).is_err());
+        assert!(
+            max_pool_codes_batch_into(
+                &fused, channels, in_h, in_w, window, stride, batch, &mut out
+            )
+            .is_err(),
+            "{frame}"
+        );
+        assert!(
+            avg_pool_codes_batch_into(
+                &fused, channels, in_h, in_w, window, stride, batch, &mut out
+            )
+            .is_err(),
+            "{frame}"
+        );
+        return;
+    };
+    let out_len = channels * oh * ow;
+    type Batched =
+        fn(&[i8], usize, usize, usize, usize, usize, usize, &mut [i8]) -> mfdfp_accel::Result<()>;
+    type Oracle = fn(&[i8], usize, usize, usize, usize, usize) -> mfdfp_accel::Result<Vec<i8>>;
+    let pairs: [(&str, Batched, Oracle); 2] = [
+        ("max", max_pool_codes_batch_into, max_pool_codes),
+        ("avg", avg_pool_codes_batch_into, avg_pool_codes),
+    ];
+    for (kind, batched, oracle) in pairs {
+        let mut out = vec![0i8; out_len * batch];
+        batched(&fused, channels, in_h, in_w, window, stride, batch, &mut out).unwrap();
+        for (b, img) in images.iter().enumerate() {
+            let want = oracle(img, channels, in_h, in_w, window, stride).unwrap();
+            let got: Vec<i8> = (0..out_len).map(|e| out[e * batch + b]).collect();
+            assert_eq!(got, want, "{kind} {frame}, image {b}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The separable batched pooling pass ≡ the tap-by-tap oracle, image
+    /// by image, de-interleaved: ceil-mode partial windows, windows
+    /// larger than the input, strides past the window, odd batches.
+    #[test]
+    fn batched_pool_matches_per_image_oracle(
+        channels in 1usize..4,
+        in_h in 1usize..=12,
+        in_w in 1usize..=12,
+        window in 1usize..=16,
+        stride in 1usize..=3,
+        batch in 1usize..=17,
+        seed in 0u64..1_000_000,
+    ) {
+        let images = pool_images(seed, channels * in_h * in_w, batch);
+        check_batched_pool(&images, channels, in_h, in_w, window, stride);
+    }
+}
+
+/// Fixed edges of the batched pass: a row longer than one stack scratch
+/// chunk, a window row wider than a whole chunk, and window populations
+/// whose sums leave `i16` (`256 · 128 = 2^15`) at the rails.
+#[test]
+fn batched_pool_matches_oracle_at_chunk_and_accumulator_edges() {
+    // 40 columns × 64 images = 2560 codes per row.
+    check_batched_pool(&pool_images(1, 2 * 5 * 40, 64), 2, 5, 40, 3, 2);
+    // A 24-wide window over 100 images: 2400 codes in one window row.
+    check_batched_pool(&pool_images(2, 24 * 24, 100), 1, 24, 24, 24, 5);
+    for fill in [-128i8, 127] {
+        for (side, window) in [(16usize, 16usize), (17, 17), (20, 20)] {
+            let images = vec![vec![fill; side * side]; 3];
+            check_batched_pool(&images, 1, side, side, window, 1);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

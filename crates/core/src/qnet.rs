@@ -14,6 +14,17 @@
 //! keeps the original decode-based adder-tree datapath as the
 //! bit-exactness oracle (the two are property-tested identical).
 //!
+//! Loading lowers the layer list once (in `from_parts`, which
+//! [`QuantizedNet::from_network`] and [`QuantizedNet::from_image`] both
+//! end in) into the steps the packed forward walks. A ReLU
+//! right after a weighted layer — or after a max pool that follows one,
+//! since ReLU commutes with max — becomes that layer's routing lower rail
+//! (Fig. 2(a)'s NL unit sitting on "Accumulator & Routing"), so the
+//! kernel writes post-ReLU codes and no pass re-reads them. A ReLU after
+//! an average pool stays a step of its own. The decode oracle keeps
+//! interpreting the un-lowered list, so every oracle comparison checks
+//! the lowering too.
+//!
 //! Like the hardware it models, the packed forward path has **no dynamic
 //! memory**: activations ping-pong between two pre-sized buffers of a
 //! [`Workspace`] and the im2col staging is drawn from the same arena.
@@ -65,6 +76,15 @@ pub enum QLayer {
     Relu,
 }
 
+/// One step of the lowered forward: a layer of the stack and, for a
+/// weighted layer, the lower rail its routing clamps to — 0 when the
+/// ReLU after it folded in, `i8::MIN` otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    layer: usize,
+    rail: i8,
+}
+
 /// A quantized multiplier-free dynamic fixed-point network.
 #[derive(Debug, Clone)]
 pub struct QuantizedNet {
@@ -72,6 +92,7 @@ pub struct QuantizedNet {
     input_format: DfpFormat,
     output_format: DfpFormat,
     layers: Vec<QLayer>,
+    steps: Vec<Step>,
     classes: usize,
     tree: AdderTree,
 }
@@ -174,25 +195,23 @@ impl QuantizedNet {
         if classes == 0 {
             return Err(CoreError::Unquantizable("network has no weighted layers".into()));
         }
-        Ok(QuantizedNet {
-            name: format!("{}-mfdfp", master.name()),
-            input_format: plan.input_format,
-            output_format,
-            layers,
-            classes,
-            tree: AdderTree::new(16).expect("16 is a power of two"),
-        })
+        let name = format!("{}-mfdfp", master.name());
+        Self::from_parts(name, plan.input_format, output_format, classes, layers)
     }
 
-    /// Reassembles a network from its parts (the deployment-image
-    /// deserialiser), walking the stack so each shaped layer consumes
-    /// exactly what the previous one produces and the last produces
-    /// `classes` values.
+    /// Assembles a network from its parts — the one constructor both
+    /// [`QuantizedNet::from_network`] and the deployment-image loader end
+    /// in. Checks that the engine can run the stack: 8-bit input and
+    /// output formats, and each shaped layer consuming exactly what the
+    /// previous one produces, the last producing `classes` values. Then
+    /// lowers the list into the forward's steps, folding ReLUs into the
+    /// routing rail (see the [module docs](self)).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadConfig`] for an empty layer stack and
-    /// [`CoreError::BadImage`] for an inconsistent one.
+    /// [`CoreError::BadImage`] for a non-8-bit format or an inconsistent
+    /// stack.
     pub(crate) fn from_parts(
         name: String,
         input_format: DfpFormat,
@@ -202,6 +221,13 @@ impl QuantizedNet {
     ) -> Result<Self> {
         if layers.is_empty() || classes == 0 {
             return Err(CoreError::BadConfig("deployment image has no layers".into()));
+        }
+        for (side, fmt) in [("input", input_format), ("output", output_format)] {
+            if fmt.bits() != DfpFormat::PAPER_BITS {
+                return Err(CoreError::BadImage(format!(
+                    "the integer engine is 8-bit; the {side} format is {fmt}"
+                )));
+            }
         }
         let mut cur = layers.iter().find_map(layer_in_len).unwrap_or(0);
         for (i, layer) in layers.iter().enumerate() {
@@ -223,6 +249,7 @@ impl QuantizedNet {
             name,
             input_format,
             output_format,
+            steps: lower(&layers),
             layers,
             classes,
             tree: AdderTree::new(16).expect("16 is a power of two"),
@@ -430,27 +457,28 @@ impl QuantizedNet {
     ) -> Result<usize> {
         let per_image = data.len() / n;
         cur.resize(per_image * n, 0);
+        let input_format = self.input_format;
         // `.max(1)`: an empty image must reach the first layer's length
         // check, not panic in `chunks_exact(0)`.
         for (b, image) in data.chunks_exact(per_image.max(1)).enumerate() {
-            for (e, &x) in image.iter().enumerate() {
-                cur[e * n + b] = self.input_format.quantize(x) as i8;
+            for (c, &x) in cur[b..].iter_mut().step_by(n).zip(image) {
+                *c = input_format.quantize(x) as i8;
             }
         }
-        for (idx, layer) in self.layers.iter().enumerate() {
-            // Flight-recorder: one span per layer covering the whole
+        for &Step { layer: idx, rail } in &self.steps {
+            // Flight-recorder: one span per step covering the whole
             // batch, label = layer kind, arg = layer index.
-            match layer {
+            match &self.layers[idx] {
                 QLayer::Conv(c) => {
                     let _span = mfdfp_obs::span!("qnet.conv", idx as u64);
                     nxt.resize(c.out_len() * n, 0);
-                    c.run_batch_into(cur, n, ws, nxt).map_err(CoreError::Accel)?;
+                    c.run_batch_railed_into(cur, n, ws, rail, nxt).map_err(CoreError::Accel)?;
                     std::mem::swap(cur, nxt);
                 }
                 QLayer::Linear(l) => {
                     let _span = mfdfp_obs::span!("qnet.linear", idx as u64);
                     nxt.resize(l.out_features * n, 0);
-                    l.run_batch_into(cur, n, nxt).map_err(CoreError::Accel)?;
+                    l.run_batch_railed_into(cur, n, rail, nxt).map_err(CoreError::Accel)?;
                     std::mem::swap(cur, nxt);
                 }
                 QLayer::Pool { kind, channels, in_h, in_w, window, stride } => {
@@ -594,6 +622,31 @@ impl QuantizedNet {
         }
         weights.div_ceil(2) + biases
     }
+}
+
+/// Lowers a layer stack into forward steps. A ReLU folds into the routing
+/// rail of the weighted layer before it, with only max pools in between
+/// (`max(0, ·)` commutes with max, not with a rounded mean); any other
+/// ReLU stays a step.
+fn lower(layers: &[QLayer]) -> Vec<Step> {
+    let mut steps: Vec<Step> = Vec::with_capacity(layers.len());
+    // The step whose rail a ReLU here would set.
+    let mut fold_into: Option<usize> = None;
+    for (layer, l) in layers.iter().enumerate() {
+        match l {
+            QLayer::Relu => {
+                if let Some(w) = fold_into {
+                    steps[w].rail = 0;
+                    continue;
+                }
+            }
+            QLayer::Conv(_) | QLayer::Linear(_) => fold_into = Some(steps.len()),
+            QLayer::Pool { kind: PoolKind::Max, .. } => {}
+            QLayer::Pool { kind: PoolKind::Avg, .. } => fold_into = None,
+        }
+        steps.push(Step { layer, rail: i8::MIN });
+    }
+    steps
 }
 
 /// Input element count one layer consumes; `None` for shapeless layers
@@ -742,6 +795,45 @@ mod tests {
         assert!(q.logits_batch_into(batch.as_slice(), 0, &mut ws, &mut out).is_err());
         // An empty image is a typed length error, not a panic.
         assert!(q.logits_batch_into(&[], 1, &mut ws, &mut out[..q.classes()]).is_err());
+    }
+
+    #[test]
+    fn lowering_folds_relus_that_commute_into_rails() {
+        let linear = || {
+            QLayer::Linear(ShiftLinear {
+                in_features: 1,
+                out_features: 1,
+                weights: PackedPow2Matrix::from_f32(1, 1, &[1.0]).unwrap(),
+                bias: vec![0].into(),
+                in_frac: 0,
+                out_frac: 0,
+            })
+        };
+        let pool =
+            |kind| QLayer::Pool { kind, channels: 1, in_h: 1, in_w: 1, window: 1, stride: 1 };
+        let layers = [
+            QLayer::Relu, // 0: leading, nothing to fold into
+            linear(),     // 1
+            QLayer::Relu, // 2: folds into 1
+            QLayer::Relu, // 3: relu → relu folds too
+            pool(PoolKind::Max),
+            QLayer::Relu, // 5: commutes with the max pool, folds into 1
+            pool(PoolKind::Avg),
+            QLayer::Relu, // 7: after an average pool, stays
+            linear(),     // 8
+            pool(PoolKind::Max),
+            QLayer::Relu, // 10: folds into 8
+        ];
+        let steps: Vec<(usize, i8)> = lower(&layers).iter().map(|s| (s.layer, s.rail)).collect();
+        let min = i8::MIN;
+        assert_eq!(steps, [(0, min), (1, 0), (4, min), (6, min), (7, min), (8, 0), (9, min)]);
+
+        // cifar10_quick's shape: every ReLU folds, so no ReLU pass runs.
+        let (net, plan, _) = setup();
+        let q = QuantizedNet::from_network(&net, &plan).unwrap();
+        assert!(q.steps.iter().all(|s| !matches!(q.layers[s.layer], QLayer::Relu)));
+        let rails: Vec<i8> = q.steps.iter().map(|s| s.rail).collect();
+        assert_eq!(rails, [0, min, 0, min, 0, min, min, min]);
     }
 
     #[test]

@@ -218,3 +218,42 @@ fn inconsistent_layer_stack_is_rejected_at_load() {
     restamp(&mut pool);
     assert!(matches!(load(&pool), Err(CoreError::BadImage(_))));
 }
+
+/// The integer engine is 8-bit end to end: a checksummed image whose
+/// header declares a wider input or output format is refused at load.
+/// (A 16-bit input code of 160 would otherwise wrap through `as i8` to
+/// −96 and serve wrong logits.)
+#[test]
+fn non_8_bit_formats_are_rejected_at_load() {
+    let image = to_image(&tiny_qnet(5));
+    let load = |bytes: &[u8]| {
+        let view = ImageView::open(Arc::new(AlignedBytes::from_slice(bytes))).unwrap();
+        QuantizedNet::from_image(&view)
+    };
+    // Header bytes 20/22 hold the input/output formats' bit widths.
+    for (offset, bits) in [(20usize, 16u8), (22, 16), (20, 7), (22, 32)] {
+        let mut wide = image.as_slice().to_vec();
+        wide[offset] = bits;
+        restamp(&mut wide);
+        assert!(
+            matches!(load(&wide), Err(CoreError::BadImage(_))),
+            "byte {offset} = {bits} bits must be refused"
+        );
+    }
+}
+
+/// `from_network` and `from_image(to_image(..))` end in the same
+/// constructor and lowering: bit-identical logits over a fused batch.
+#[test]
+fn from_network_and_image_round_trip_serve_identical_logits() {
+    for seed in [7u64, 8, 9] {
+        let owned = tiny_qnet(seed);
+        let view = ImageView::open(Arc::new(to_image(&owned))).unwrap();
+        let loaded = QuantizedNet::from_image(&view).unwrap();
+        let batch = TensorRng::seed_from(seed).gaussian([8, 3, 16, 16], 0.0, 0.9);
+        let bits = |net: &QuantizedNet| -> Vec<u32> {
+            net.logits_batch(&batch).unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&loaded), bits(&owned), "seed {seed}");
+    }
+}

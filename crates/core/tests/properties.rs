@@ -7,9 +7,9 @@ use mfdfp_core::{
     build_working_net, calibrate, sync_quantized_params, to_image, ImageView, QuantizedNet,
 };
 use mfdfp_dfp::Pow2Weight;
-use mfdfp_nn::layers::{Linear, Relu};
+use mfdfp_nn::layers::{Conv2d, Flatten, Linear, Pool, Relu};
 use mfdfp_nn::{Layer, Network, Phase};
-use mfdfp_tensor::{Shape, Tensor, TensorRng};
+use mfdfp_tensor::{ConvGeometry, PoolGeometry, PoolKind, Shape, Tensor, TensorRng};
 use proptest::prelude::*;
 
 /// A tiny MLP whose weights come from the proptest strategy.
@@ -24,6 +24,84 @@ fn mlp_with_weights(w1: &[f32], w2: &[f32]) -> Network {
     net.push(Layer::Relu(Relu::new()));
     net.push(Layer::Linear(l2));
     net
+}
+
+/// Appends `ops` after a layer producing `c×h×h` activations: 0 is a
+/// ReLU, 1 a max pool, 2 an average pool (window 2, stride 1, so each
+/// pool trims one row and column). Returns the new side.
+fn push_epilogue(net: &mut Network, ops: &[u8], c: usize, mut h: usize) -> usize {
+    for &op in ops {
+        let kind = match op {
+            0 => {
+                net.push(Layer::Relu(Relu::new()));
+                continue;
+            }
+            1 => PoolKind::Max,
+            _ => PoolKind::Avg,
+        };
+        let geom = PoolGeometry::new(c, h, h, 2, 1).unwrap();
+        net.push(Layer::Pool(Pool::new("pool", kind, geom)));
+        h -= 1;
+    }
+    h
+}
+
+/// A random conv/linear stack for the lowering property:
+/// `[relu] conv [a…] conv [b…] flatten linear [relu…] linear`, where each
+/// epilogue mixes ReLUs with max and average pools — so every case the
+/// lowering distinguishes appears: conv→relu, conv→maxpool→relu,
+/// conv→avgpool→relu (must not fold), relu→relu, linear→relu and a
+/// leading relu.
+fn random_stack(seed: u64, lead: bool, a: &[u8], b: &[u8], fc_relus: usize) -> Network {
+    let mut rng = TensorRng::seed_from(seed);
+    let mut net = Network::new("lowering");
+    if lead {
+        net.push(Layer::Relu(Relu::new()));
+    }
+    let side = 7;
+    let g1 = ConvGeometry::new(3, side, side, 4, 3, 1, 1).unwrap();
+    net.push(Layer::Conv(Conv2d::new("conv1", g1, &mut rng)));
+    let side = push_epilogue(&mut net, a, 4, side);
+    let g2 = ConvGeometry::new(4, side, side, 5, 3, 1, 1).unwrap();
+    net.push(Layer::Conv(Conv2d::new("conv2", g2, &mut rng)));
+    let side = push_epilogue(&mut net, b, 5, side);
+    net.push(Layer::Flatten(Flatten::new()));
+    net.push(Layer::Linear(Linear::new("fc1", 5 * side * side, 6, &mut rng)));
+    for _ in 0..fc_relus {
+        net.push(Layer::Relu(Relu::new()));
+    }
+    net.push(Layer::Linear(Linear::new("fc2", 6, 4, &mut rng)));
+    net
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The lowered packed forward — ReLUs folded into routing rails where
+    /// they commute — ≡ the decode oracle interpreting the un-lowered
+    /// layer list, image by image, at batch 1 and fused batch 8.
+    #[test]
+    fn fused_lowered_forward_matches_decode_oracle(
+        seed in 0u64..10_000,
+        lead in proptest::bool::ANY,
+        a in proptest::collection::vec(0u8..3, 0..4),
+        b in proptest::collection::vec(0u8..3, 0..3),
+        fc_relus in 0usize..3,
+    ) {
+        let mut net = random_stack(seed, lead, &a, &b, fc_relus);
+        let mut rng = TensorRng::seed_from(seed ^ 0x5EED);
+        let calib = rng.gaussian([4, 3, 7, 7], 0.0, 0.7);
+        let plan = calibrate(&mut net, &[(calib, vec![0, 1, 2, 3])], 8).unwrap();
+        let q = QuantizedNet::from_network(&net, &plan).unwrap();
+        let batch = rng.gaussian([8, 3, 7, 7], 0.0, 0.8);
+        let oracle: Vec<Vec<i8>> = (0..8)
+            .map(|s| q.forward_codes_reference(&batch.index_axis0(s)).unwrap())
+            .collect();
+        prop_assert_eq!(&q.forward_codes_batch(&batch).unwrap(), &oracle);
+        for (s, want) in oracle.iter().enumerate() {
+            prop_assert_eq!(&q.forward_codes(&batch.index_axis0(s)).unwrap(), want, "image {}", s);
+        }
+    }
 }
 
 proptest! {

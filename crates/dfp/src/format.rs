@@ -65,18 +65,26 @@ impl DfpFormat {
     }
 
     /// Quantization step `2^(−f)` — the value of one LSB.
+    ///
+    /// Built from its bits rather than by `exp2f`: every `2^(−f)` an `i8`
+    /// fraction reaches is a normal `f64`, and the cast to `f32` rounds
+    /// `2^128` to infinity and keeps `2^−127` as the exact subnormal, as
+    /// `exp2f` does — without a libm call per quantized element.
+    #[inline]
     pub fn step(&self) -> f32 {
-        (-self.frac as f32).exp2()
+        f64::from_bits(((1023 - self.frac as i64) as u64) << 52) as f32
     }
 
     /// Largest representable integer code: `2^(b−1) − 1`.
+    #[inline]
     pub fn max_code(&self) -> i32 {
-        (1i32 << (self.bits - 1)) - 1
+        i32::MAX >> (32 - self.bits)
     }
 
     /// Smallest representable integer code: `−2^(b−1)`.
+    #[inline]
     pub fn min_code(&self) -> i32 {
-        -(1i32 << (self.bits - 1))
+        i32::MIN >> (32 - self.bits)
     }
 
     /// Largest representable real value.
@@ -91,17 +99,23 @@ impl DfpFormat {
 
     /// Quantizes a real value to the nearest integer code, saturating at the
     /// format bounds (round half away from zero, the hardware convention).
+    /// NaN quantizes to 0.
+    ///
+    /// `scaled ± 0.5` truncated toward zero is `floor(scaled + 0.5)` for
+    /// `scaled ≥ 0` and `ceil(scaled − 0.5)` below, so the rounding needs
+    /// no `floorf`/`ceilf` call: `as i32` truncates, saturates at the
+    /// `i32` rails and maps NaN to 0, and an integer clamp then puts the
+    /// code on the format's rails exactly — a float clamp could not, since
+    /// `2^(b−1) − 1` is not an `f32` for `b ≥ 26`.
+    #[inline]
     pub fn quantize(&self, x: f32) -> i32 {
-        if x.is_nan() {
-            return 0;
-        }
         let scaled = x / self.step();
-        let rounded = if scaled >= 0.0 { (scaled + 0.5).floor() } else { (scaled - 0.5).ceil() };
-        let clamped = rounded.clamp(self.min_code() as f32, self.max_code() as f32);
-        clamped as i32
+        let rounded = (scaled + 0.5f32.copysign(scaled)) as i32;
+        rounded.clamp(self.min_code(), self.max_code())
     }
 
     /// Real value of an integer code.
+    #[inline]
     pub fn dequantize(&self, code: i32) -> f32 {
         code as f32 * self.step()
     }
@@ -230,6 +244,99 @@ mod tests {
         assert_eq!(codes, vec![8, -4, 48]);
         let back = f.dequantize_slice(&codes);
         assert_eq!(back, vec![0.5, -0.25, 3.0]);
+    }
+
+    /// The float-clamp quantizer `quantize` replaced: `floorf`/`ceilf`
+    /// rounding and a clamp to the rails as `f32`. The reference for every
+    /// format whose rails are `f32`s (`bits ≤ 25`).
+    fn quantize_float_clamp(f: &DfpFormat, x: f32) -> i32 {
+        if x.is_nan() {
+            return 0;
+        }
+        let scaled = x / (-(f.frac() as f32)).exp2();
+        let rounded = if scaled >= 0.0 { (scaled + 0.5).floor() } else { (scaled - 0.5).ceil() };
+        let max_code = (1i32 << (f.bits() - 1)) - 1;
+        let min_code = -(1i32 << (f.bits() - 1));
+        rounded.clamp(min_code as f32, max_code as f32) as i32
+    }
+
+    fn assert_matches_float_clamp(f: &DfpFormat, x: f32) {
+        assert_eq!(
+            f.quantize(x),
+            quantize_float_clamp(f, x),
+            "{f} x={x:e} ({:#010x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn integer_clamp_matches_float_clamp_up_to_25_bits() {
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            0.49999997,
+            -0.49999997,
+        ];
+        for bits in 2u8..=25 {
+            for frac in [-6i8, 0, 7, bits as i8 + 3] {
+                let f = DfpFormat::new(bits, frac).unwrap();
+                for &x in &specials {
+                    assert_matches_float_clamp(&f, x);
+                }
+                // The rails, one ulp either side of each.
+                for rail in [f.max_value(), f.min_value()] {
+                    for d in [-1i32, 0, 1] {
+                        let x = f32::from_bits(rail.to_bits().wrapping_add_signed(d));
+                        assert_matches_float_clamp(&f, x);
+                    }
+                }
+                // A strided sweep of every sign, exponent and mantissa.
+                for u in (0..=u32::MAX).step_by(65_521) {
+                    assert_matches_float_clamp(&f, f32::from_bits(u));
+                }
+            }
+            // Every code and both of its `k ± 0.5` ties (one format per
+            // width, so the sweep stays at 2^26 codes in all).
+            let f = DfpFormat::new(bits, 1).unwrap();
+            for k in f.min_code()..=f.max_code() {
+                let x = k as f32 * f.step();
+                for y in [x, x - f.step() / 2.0, x + f.step() / 2.0] {
+                    assert_matches_float_clamp(&f, y);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn step_is_exp2_of_minus_frac() {
+        for frac in i8::MIN..=i8::MAX {
+            let want = (-(frac as f32)).exp2();
+            assert_eq!(DfpFormat::q8(frac).step().to_bits(), want.to_bits(), "frac={frac}");
+        }
+    }
+
+    #[test]
+    fn wide_formats_hit_their_rails_exactly() {
+        for bits in [2u8, 8, 24, 26, 31, 32] {
+            let f = DfpFormat::new(bits, 0).unwrap();
+            let max = (1i64 << (bits - 1)) - 1;
+            assert_eq!(f.max_code() as i64, max, "bits={bits}");
+            assert_eq!(f.min_code() as i64, -max - 1, "bits={bits}");
+            for big in [1e12f32, f32::MAX, f32::INFINITY] {
+                assert_eq!(f.quantize(big), f.max_code(), "bits={bits} x={big:e}");
+                assert_eq!(f.quantize(-big), f.min_code(), "bits={bits} x={:e}", -big);
+            }
+        }
     }
 
     #[test]

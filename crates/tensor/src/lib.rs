@@ -54,7 +54,7 @@ pub use ops::conv::{
 };
 pub use ops::matmul::{gemm, gemm_parallel, gemm_serial, matvec, Transpose};
 pub use ops::pool::{pool_backward, pool_forward, PoolGeometry, PoolKind};
-pub use ops::qgemm::qgemm_fused_into_i8;
+pub use ops::qgemm::{qgemm_fused_into_i8, qgemm_fused_railed_into_i8};
 pub use ops::reduce::{
     argmax_rows, log_softmax, softmax, softmax_with_temperature, sum_axis0, topk_rows,
 };

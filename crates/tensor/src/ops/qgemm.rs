@@ -57,12 +57,18 @@
 //! zero-and-fold of the bucket file per 75 synapses; `ip1` runs one
 //! vector per row, so the scalar nibble read dominates.
 //!
-//! Like the hardware, the kernel has one activation width and one entry
-//! ([`qgemm_fused_into_i8`]): activations are raw 8-bit codes, so the
-//! operand bound behind the overflow argument above is *structural* — a
-//! property of the type, not a per-call scan. All scratch is fixed-size
-//! arrays on the stack (≈ 22 KiB at `NR = 64`), so the kernel never
-//! touches the heap.
+//! Like the hardware, the kernel has one activation width: activations
+//! are raw 8-bit codes, so the operand bound behind the overflow argument
+//! above is *structural* — a property of the type, not a per-call scan.
+//! All scratch is fixed-size arrays on the stack (≈ 22 KiB at `NR = 64`),
+//! so the kernel never touches the heap.
+//!
+//! **The lower rail is the NL unit.** Routing already clamps every lane
+//! branch-free to `[-128, 127]`; raising the lower bound to 0 makes the
+//! same clamp the ReLU that follows the block in Fig. 2(a) —
+//! `clamp(v, 0, 127) = max(0, clamp(v, -128, 127))` — at no extra
+//! instruction. [`qgemm_fused_railed_into_i8`] takes the rail as one
+//! argument; [`qgemm_fused_into_i8`] is that entry at `i8::MIN`.
 //!
 //! Audit: each routed accumulator is checked against the 32-bit
 //! accumulator register — [`TensorError::QuantizedOverflow`] mirrors the
@@ -153,7 +159,9 @@ fn qgemm_check(
 /// accumulator against the 32-bit register, then realigns from
 /// `acc_frac` to `out_frac` (round half away from zero) and saturates to
 /// the 8-bit activation code — `saturate(realign(v, acc_frac, out_frac),
-/// 8)` for each lane, without a data-dependent branch.
+/// 8)` for each lane, without a data-dependent branch — and finally
+/// raises it to the lower rail `lo` (`i8::MIN`: no effect; 0: the NL
+/// unit's ReLU).
 ///
 /// The accumulator's sign is a coin flip per output, so `shift_round`'s
 /// `if v >= 0` mispredicts half the time; here the sign becomes a mask
@@ -162,7 +170,7 @@ fn qgemm_check(
 /// `a + half` is no longer obviously inside `i64`) are rare radix
 /// settings, decided once per call, and take the scalar helpers.
 #[inline(always)]
-fn route_lanes(acc: &[i64], acc_frac: i32, out_frac: i32, out: &mut [i8]) -> Result<()> {
+fn route_lanes(acc: &[i64], acc_frac: i32, out_frac: i32, lo: i8, out: &mut [i8]) -> Result<()> {
     debug_assert_eq!(acc.len(), out.len());
     let overflows = |v: i64| v != v as i32 as i64;
     // An OR over the lane set, not an early-exit search: no branch per lane.
@@ -178,11 +186,11 @@ fn route_lanes(acc: &[i64], acc_frac: i32, out_frac: i32, out: &mut [i8]) -> Res
             let sign = v >> 63;
             let a = (v ^ sign) - sign;
             let r = (((a + half) >> right) ^ sign) - sign;
-            *o = r.clamp(-128, 127) as i8;
+            *o = r.clamp(lo as i64, 127) as i8;
         }
     } else {
         for (o, &v) in out.iter_mut().zip(acc) {
-            *o = saturate(realign(v, acc_frac, out_frac), 8) as i8;
+            *o = (saturate(realign(v, acc_frac, out_frac), 8) as i8).max(lo);
         }
     }
     Ok(())
@@ -238,6 +246,7 @@ fn band_body<const NR: usize>(
     bias: &[i64],
     acc_frac: i32,
     out_frac: i32,
+    lo: i8,
     out: &mut [i8],
 ) -> Result<()> {
     let k = w.cols();
@@ -285,7 +294,7 @@ fn band_body<const NR: usize>(
             }
             for (i, a64) in acc64.iter().enumerate().take(rows - r0) {
                 let orow = &mut out[(r0 + i) * ncols + j0..][..width];
-                route_lanes(&a64[..width], acc_frac, out_frac, orow)?;
+                route_lanes(&a64[..width], acc_frac, out_frac, lo, orow)?;
             }
         }
     }
@@ -307,12 +316,13 @@ fn band_portable(
     bias: &[i64],
     acc_frac: i32,
     out_frac: i32,
+    lo: i8,
     out: &mut [i8],
 ) -> Result<()> {
     if ncols > NR_NARROW {
-        band_body::<NR_WIDE>(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+        band_body::<NR_WIDE>(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out)
     } else {
-        band_body::<NR_NARROW>(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+        band_body::<NR_NARROW>(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out)
     }
 }
 
@@ -334,9 +344,10 @@ unsafe fn band_avx2(
     bias: &[i64],
     acc_frac: i32,
     out_frac: i32,
+    lo: i8,
     out: &mut [i8],
 ) -> Result<()> {
-    band_portable(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+    band_portable(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out)
 }
 
 /// The serial band kernel: computes output rows `[band0, band0 + rows)` of
@@ -356,6 +367,7 @@ fn qgemm_band(
     bias: &[i64],
     acc_frac: i32,
     out_frac: i32,
+    lo: i8,
     out: &mut [i8],
 ) -> Result<()> {
     // Op-count telemetry, amortized: one fetch_add per band call (the
@@ -364,15 +376,15 @@ fn qgemm_band(
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: the AVX2 requirement is runtime-checked just above.
-        return unsafe { band_avx2(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out) };
+        return unsafe { band_avx2(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out) };
     }
-    band_portable(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+    band_portable(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out)
 }
 
-/// The packed shift-only kernel's one entry: computes output rows
-/// `[row0, row0 + rows)` of `out = route(W · Xᵀ + bias)` over the
-/// **fused** column matrix of a whole batch, into a caller-provided
-/// buffer.
+/// The packed shift-only kernel over the full `i8` range: computes
+/// output rows `[row0, row0 + rows)` of `out = route(W · Xᵀ + bias)`
+/// over the **fused** column matrix of a whole batch, into a
+/// caller-provided buffer.
 ///
 /// * `w` — packed `R × k` power-of-two weight matrix; the band selects
 ///   rows `row0..row0 + rows` (e.g. one group of a grouped convolution).
@@ -450,6 +462,46 @@ pub fn qgemm_fused_into_i8(
     out_frac: i32,
     out: &mut [i8],
 ) -> Result<()> {
+    qgemm_fused_railed_into_i8(
+        w,
+        row0,
+        rows,
+        xt,
+        ncols_per_image,
+        batch,
+        bias,
+        acc_frac,
+        out_frac,
+        i8::MIN,
+        out,
+    )
+}
+
+/// [`qgemm_fused_into_i8`] with the routing block's lower rail `lo`:
+/// every output code is `max(lo, code)`, applied in the same branch-free
+/// clamp that saturates it. `lo = i8::MIN` is the plain entry; `lo = 0`
+/// is the layer followed by the NL unit's ReLU, so a lowered network
+/// writes post-ReLU codes straight from the kernel instead of re-reading
+/// them. The overflow audit runs before the clamp, so a rail never hides
+/// an accumulator that left its register.
+///
+/// # Errors
+///
+/// As [`qgemm_fused_into_i8`].
+#[allow(clippy::too_many_arguments)] // kernel entry: slices + full index frame
+pub fn qgemm_fused_railed_into_i8(
+    w: &PackedPow2Matrix,
+    row0: usize,
+    rows: usize,
+    xt: &[i8],
+    ncols_per_image: usize,
+    batch: usize,
+    bias: &[i64],
+    acc_frac: i32,
+    out_frac: i32,
+    lo: i8,
+    out: &mut [i8],
+) -> Result<()> {
     if batch == 0 {
         return Err(TensorError::BadGeometry("fused qgemm needs a positive batch".into()));
     }
@@ -460,7 +512,7 @@ pub fn qgemm_fused_into_i8(
     };
     qgemm_check(w, row0, rows, xt, ncols, bias, out.len())?;
     let _span = mfdfp_obs::span!("qgemm.fused", (rows * w.cols() * ncols) as u64);
-    dispatch_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+    dispatch_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out)
 }
 
 /// Serial/parallel dispatch: bands whose work crosses the `par` module
@@ -482,15 +534,16 @@ fn dispatch_band(
     bias: &[i64],
     acc_frac: i32,
     out_frac: i32,
+    lo: i8,
     out: &mut [i8],
 ) -> Result<()> {
     let macs = rows * w.cols() * ncols;
     if crate::par::should_fan_out(rows, macs) {
         let _span = mfdfp_obs::span!("qgemm.parallel", macs as u64);
-        return qgemm_band_parallel(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, out);
+        return qgemm_band_parallel(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out);
     }
     let _span = mfdfp_obs::span!("qgemm.serial", macs as u64);
-    qgemm_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, out)
+    qgemm_band(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, lo, out)
 }
 
 /// Row-parallel band execution over `par::for_each_row_chunk`. The first
@@ -508,6 +561,7 @@ fn qgemm_band_parallel(
     bias: &[i64],
     acc_frac: i32,
     out_frac: i32,
+    lo: i8,
     out: &mut [i8],
 ) -> Result<()> {
     let error = std::sync::OnceLock::new();
@@ -521,6 +575,7 @@ fn qgemm_band_parallel(
             &bias[r0..r0 + nrows],
             acc_frac,
             out_frac,
+            lo,
             chunk,
         ) {
             let _ = error.set(e);
@@ -536,6 +591,58 @@ fn qgemm_band_parallel(
 mod tests {
     use super::*;
     use mfdfp_dfp::Pow2Weight;
+
+    // The private kernel stages at the full `i8` range (no lower rail),
+    // the signatures the tests below call them with.
+
+    fn route_lanes(acc: &[i64], acc_frac: i32, out_frac: i32, out: &mut [i8]) -> Result<()> {
+        super::route_lanes(acc, acc_frac, out_frac, i8::MIN, out)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn qgemm_band(
+        w: &PackedPow2Matrix,
+        band0: usize,
+        rows: usize,
+        xt: &[i8],
+        ncols: usize,
+        bias: &[i64],
+        acc_frac: i32,
+        out_frac: i32,
+        out: &mut [i8],
+    ) -> Result<()> {
+        super::qgemm_band(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, i8::MIN, out)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn qgemm_band_parallel(
+        w: &PackedPow2Matrix,
+        row0: usize,
+        rows: usize,
+        xt: &[i8],
+        ncols: usize,
+        bias: &[i64],
+        acc_frac: i32,
+        out_frac: i32,
+        out: &mut [i8],
+    ) -> Result<()> {
+        super::qgemm_band_parallel(w, row0, rows, xt, ncols, bias, acc_frac, out_frac, i8::MIN, out)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn band_portable(
+        w: &PackedPow2Matrix,
+        band0: usize,
+        rows: usize,
+        xt: &[i8],
+        ncols: usize,
+        bias: &[i64],
+        acc_frac: i32,
+        out_frac: i32,
+        out: &mut [i8],
+    ) -> Result<()> {
+        super::band_portable(w, band0, rows, xt, ncols, bias, acc_frac, out_frac, i8::MIN, out)
+    }
 
     /// Decode-based oracle mirroring `mac_reduce`: per-element
     /// `mul_shift`, i64 accumulate, bias, realign + saturate.

@@ -6,10 +6,12 @@
 //! own edges — the 255-synapse bucket run at its `i16` rails, the 2^14
 //! flush, and every slab/block boundary. (Serial ≡ forced-parallel and
 //! portable ≡ AVX2 on the private band functions are checked in the
-//! kernel's own unit tests.)
+//! kernel's own unit tests.) The railed entry
+//! (`qgemm_fused_railed_into_i8`) is checked against the plain one: rail
+//! 0 is ReLU of the full-range output, and the audit fires first.
 
 use mfdfp_dfp::{realign, saturate, PackedPow2Matrix, Pow2Weight};
-use mfdfp_tensor::qgemm_fused_into_i8;
+use mfdfp_tensor::{qgemm_fused_into_i8, qgemm_fused_railed_into_i8, TensorError};
 use proptest::prelude::*;
 
 /// Decode-based oracle: per-element `Pow2Weight::mul_shift`, exact i64
@@ -213,4 +215,74 @@ proptest! {
             .unwrap();
         prop_assert_eq!(pieced, full);
     }
+
+    /// Rail 0 ≡ ReLU of the rail-`i8::MIN` output, on both routing
+    /// branches: `out_frac` spans right shifts of 1..=31 (the branch-free
+    /// lanes), right shifts of 32 and more, and left shifts (the scalar
+    /// fallback). Any other rail is the same `max` one level up.
+    #[test]
+    fn fused_rail_is_relu_of_the_full_range_route(
+        rows in 1usize..12,
+        cols in 1usize..40,
+        ncols_pi in 1usize..20,
+        batch in 1usize..5,
+        seed in 0u64..100_000,
+        acc_frac in 0i32..48,
+        shift in -40i32..12,
+        rail in -128i8..=127,
+    ) {
+        let out_frac = acc_frac - shift;
+        let ncols = ncols_pi * batch;
+        let (w, xt) = operands(seed, rows, cols, ncols * cols);
+        let bias: Vec<i64> =
+            (0..rows).map(|r| (seed as i64 * 7 + r as i64 * 4099) % 65536 - 32768).collect();
+        let mut full = vec![0i8; rows * ncols];
+        qgemm_fused_into_i8(&w, 0, rows, &xt, ncols_pi, batch, &bias, acc_frac, out_frac, &mut full)
+            .unwrap();
+        prop_assert_eq!(&full, &decode_oracle(&w, &xt, ncols, &bias, acc_frac, out_frac));
+        for lo in [0i8, rail] {
+            let mut railed = vec![0i8; rows * ncols];
+            qgemm_fused_railed_into_i8(
+                &w, 0, rows, &xt, ncols_pi, batch, &bias, acc_frac, out_frac, lo, &mut railed,
+            )
+            .unwrap();
+            let want: Vec<i8> = full.iter().map(|&c| c.max(lo)).collect();
+            prop_assert_eq!(railed, want, "lo={}", lo);
+        }
+    }
+}
+
+/// The audit runs before the rail: an accumulator past either end of the
+/// 32-bit register is reported even when rail 0 would have clamped its
+/// (negative) code away, on both routing branches.
+#[test]
+fn fused_rail_audits_before_the_clamp() {
+    let (w, _) = operands(5, 2, 4, 0);
+    for over in [i32::MAX as i64 + 1, i32::MIN as i64 - 1] {
+        for (acc_frac, out_frac) in [(10, 3), (3, 10), (40, 3)] {
+            let mut out = vec![0i8; 2];
+            let result = qgemm_fused_railed_into_i8(
+                &w,
+                0,
+                2,
+                &[0; 4],
+                1,
+                1,
+                &[0, over],
+                acc_frac,
+                out_frac,
+                0,
+                &mut out,
+            );
+            assert!(
+                matches!(result, Err(TensorError::QuantizedOverflow { value, .. }) if value == over),
+                "over={over} acc_frac={acc_frac} out_frac={out_frac}"
+            );
+        }
+    }
+    // The register's own rails are inside it: they route, onto the rails.
+    let mut out = vec![0i8; 2];
+    let bias = [i32::MIN as i64, i32::MAX as i64];
+    qgemm_fused_railed_into_i8(&w, 0, 2, &[0; 4], 1, 1, &bias, 10, 3, 0, &mut out).unwrap();
+    assert_eq!(out, [0, 127]);
 }
