@@ -16,11 +16,9 @@
 //!   (`MFDFP_THREADS`) is ≥ 2.
 //!
 //!   These entries write into caller buffers and draw their staging
-//!   space from a [`Workspace`]; the allocating single-image
-//!   [`ShiftConv::run`] / [`ShiftLinear::run`] wrappers are the same path
-//!   at batch 1 through the calling thread's persistent workspace, so on
-//!   a long-lived thread even they stop allocating scratch after the
-//!   first call (only the returned `Vec` remains).
+//!   space from a caller-owned [`Workspace`]; the allocating
+//!   single-image [`ShiftConv::run`] / [`ShiftLinear::run`] wrappers are
+//!   the same path at batch 1 with scratch of their own.
 //! * [`ShiftConv::run_reference`] / [`ShiftLinear::run_reference`] — the
 //!   **decode-based audit path**: every nibble is unpacked to a
 //!   [`Pow2Weight`], products go one [`Pow2Weight::mul_shift`] at a time
@@ -50,9 +48,7 @@
 //! `qgemm` module docs.)
 
 use mfdfp_dfp::{Accumulator, AdderTree, I64Section, PackedPow2Matrix, Pow2Weight};
-use mfdfp_tensor::{
-    im2col_batched_i8, qgemm_fused_railed_into_i8, with_thread_workspace, ConvGeometry, Workspace,
-};
+use mfdfp_tensor::{im2col_batched_i8, qgemm_fused_railed_into_i8, ConvGeometry, Workspace};
 
 use crate::error::{AccelError, Result};
 
@@ -81,9 +77,7 @@ pub struct ShiftConv {
 impl ShiftConv {
     /// Executes the layer on one image of activation codes (`C×H×W`,
     /// row-major), returning output codes (`OutC×OH×OW`):
-    /// [`ShiftConv::run_batch_into`] at batch 1, drawing scratch from the
-    /// calling thread's persistent workspace; only the returned `Vec`
-    /// allocates once the thread is warm.
+    /// [`ShiftConv::run_batch_into`] at batch 1 with a fresh workspace.
     ///
     /// # Errors
     ///
@@ -91,7 +85,7 @@ impl ShiftConv {
     /// propagates the kernel's overflow audits as [`AccelError::Tensor`].
     pub fn run(&self, input: &[i8]) -> Result<Vec<i8>> {
         let mut out = vec![0i8; self.out_len()];
-        with_thread_workspace(|ws| self.run_batch_into(input, 1, ws, &mut out))?;
+        self.run_batch_into(input, 1, &mut Workspace::new(), &mut out)?;
         Ok(out)
     }
 
@@ -280,7 +274,16 @@ impl ShiftConv {
         Ok(out)
     }
 
-    fn validate(&self, input_len: usize) -> Result<()> {
+    /// The layer's shape check, shared by every entry and by network
+    /// load: `input_len` is the geometry's `C×H×W`, the packed weights
+    /// are `OutC × col_height` and there is one bias per output channel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::BadInput`] for a wrong input or bias count
+    /// and [`AccelError::BadConfig`] for a weight matrix that does not
+    /// match the geometry.
+    pub fn validate(&self, input_len: usize) -> Result<()> {
         let g = &self.geom;
         let expect = g.in_c * g.in_h * g.in_w;
         if input_len != expect {
@@ -435,7 +438,14 @@ impl ShiftLinear {
         Ok(out)
     }
 
-    fn validate(&self, input_len: usize) -> Result<()> {
+    /// The layer's shape check, shared by every entry and by network
+    /// load: `input_len` is `in_features`, the packed weights are
+    /// `out_features × in_features` and there is one bias per output.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShiftConv::validate`].
+    pub fn validate(&self, input_len: usize) -> Result<()> {
         if input_len != self.in_features {
             return Err(AccelError::BadInput { expected: self.in_features, actual: input_len });
         }

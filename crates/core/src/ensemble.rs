@@ -8,7 +8,7 @@
 //! quantify.
 
 use mfdfp_nn::Accuracy;
-use mfdfp_tensor::{with_thread_workspace, Shape, Tensor, Workspace, WorkspacePlan};
+use mfdfp_tensor::{Shape, Tensor, Workspace, WorkspacePlan};
 
 use crate::error::{CoreError, Result};
 use crate::qnet::QuantizedNet;
@@ -25,14 +25,17 @@ impl Ensemble {
     /// # Errors
     ///
     /// Returns [`CoreError::BadConfig`] if the ensemble is empty or the
-    /// members disagree on class count.
+    /// members disagree on class count or input length.
     pub fn new(members: Vec<QuantizedNet>) -> Result<Self> {
         let Some(first) = members.first() else {
             return Err(CoreError::BadConfig("ensemble needs at least one member".into()));
         };
-        let classes = first.classes();
+        let (classes, input_len) = (first.classes(), first.input_len());
         if members.iter().any(|m| m.classes() != classes) {
             return Err(CoreError::BadConfig("ensemble members disagree on class count".into()));
+        }
+        if members.iter().any(|m| m.input_len() != input_len) {
+            return Err(CoreError::BadConfig("ensemble members disagree on input length".into()));
         }
         Ok(Ensemble { members })
     }
@@ -96,9 +99,8 @@ impl Ensemble {
     pub fn logits_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let n = batch.shape().dim(0);
         let mut out = Tensor::zeros(Shape::d2(n, self.classes()));
-        with_thread_workspace(|ws| {
-            self.logits_batch_into(batch.as_slice(), n, ws, out.as_mut_slice(), self.len())
-        })?;
+        let mut ws = self.plan_for_batch(n).workspace();
+        self.logits_batch_into(batch.as_slice(), n, &mut ws, out.as_mut_slice(), self.len())?;
         Ok(out)
     }
 
@@ -200,6 +202,22 @@ mod tests {
         let plan = calibrate(&mut other, &[(x, vec![0, 1])], 8).unwrap();
         let other_q = QuantizedNet::from_network(&other, &plan).unwrap();
         assert!(Ensemble::new(vec![member(1), other_q]).is_err());
+    }
+
+    #[test]
+    fn rejects_members_with_different_input_lengths() {
+        // 3×16×16 = 768 input values against `member`'s 2×16×16 = 512,
+        // both with 4 classes: the batch could never fit both.
+        let mut rng = TensorRng::seed_from(2);
+        let mut wide = zoo::quick_custom(3, 16, [4, 4, 4], 8, 4, &mut rng).unwrap();
+        let x = rng.gaussian([2, 3, 16, 16], 0.0, 0.7);
+        let plan = calibrate(&mut wide, &[(x, vec![0, 1])], 8).unwrap();
+        let wide_q = QuantizedNet::from_network(&wide, &plan).unwrap();
+        assert_eq!((wide_q.classes(), wide_q.input_len()), (4, 768));
+        assert!(matches!(
+            Ensemble::new(vec![member(1), wide_q]),
+            Err(CoreError::BadConfig(msg)) if msg.contains("input length")
+        ));
     }
 
     #[test]

@@ -519,18 +519,11 @@ impl ImageView {
         } else {
             (w_off, w_len, b_off, b_count) = (0, 0, 0, 0);
         }
-        // Kind-specific geometry sanity (full semantic checks happen when
-        // the layer is constructed).
+        // Kind-specific geometry sanity (the weights-against-geometry and
+        // layer-chaining checks are the load walk's, in `from_parts`).
         match kind {
             KIND_CONV => {
-                let g = conv_geometry(&geom).map_err(|e| bad(format!("layer {i}: {e}")))?;
-                if rows != g.out_c || cols != g.col_height() {
-                    return Err(bad(format!(
-                        "layer {i}: weight matrix {rows}×{cols} does not match geometry {}×{}",
-                        g.out_c,
-                        g.col_height()
-                    )));
-                }
+                conv_geometry(&geom).map_err(|e| bad(format!("layer {i}: {e}")))?;
             }
             KIND_LINEAR if rows != geom[1] as usize || cols != geom[0] as usize => {
                 return Err(bad(format!(
@@ -585,9 +578,10 @@ impl QuantizedNet {
     /// # Errors
     ///
     /// [`CoreError::BadImage`] on structural defects (already excluded by
-    /// [`ImageView::open`]) and on a layer stack whose shapes do not
-    /// chain (one layer's input length is not the previous layer's
-    /// output length, or the last does not produce `classes` logits);
+    /// [`ImageView::open`]) and on a layer that does not fit the stack:
+    /// weights that do not match its geometry, an input length other
+    /// than the previous layer's output, a pool with no defined output,
+    /// or a last layer not producing `classes` logits;
     /// [`CoreError::BadConfig`] for an empty layer stack.
     pub fn from_image(view: &ImageView) -> Result<QuantizedNet> {
         let mut layers = Vec::with_capacity(view.n_layers);

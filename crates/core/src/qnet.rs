@@ -14,9 +14,12 @@
 //! keeps the original decode-based adder-tree datapath as the
 //! bit-exactness oracle (the two are property-tested identical).
 //!
-//! Loading lowers the layer list once (in `from_parts`, which
+//! Loading walks the layer list once (in `from_parts`, which
 //! [`QuantizedNet::from_network`] and [`QuantizedNet::from_image`] both
-//! end in) into the steps the packed forward walks. A ReLU
+//! end in). The walk checks each layer against the activation length
+//! that reaches it, records the length each step writes, the input
+//! length and the workspace plan, and lowers the list into the steps the
+//! packed forward walks — so nothing past load re-derives a shape. A ReLU
 //! right after a weighted layer — or after a max pool that follows one,
 //! since ReLU commutes with max — becomes that layer's routing lower rail
 //! (Fig. 2(a)'s NL unit sitting on "Accumulator & Routing"), so the
@@ -28,24 +31,22 @@
 //! Like the hardware it models, the packed forward path has **no dynamic
 //! memory**: activations ping-pong between two pre-sized buffers of a
 //! [`Workspace`] and the im2col staging is drawn from the same arena.
-//! [`QuantizedNet::plan`] derives every peak buffer size from the layer
-//! geometry, so a workspace is sized once per model and
+//! [`QuantizedNet::plan`] holds every peak buffer size, recorded at load
+//! from the layer geometry, so a workspace is sized once per model and
 //! [`QuantizedNet::forward_codes_with`] then runs arbitrarily many
 //! inferences with zero heap allocations. There is one packed layer loop
 //! — the batch-fused one ([`QuantizedNet::logits_batch_into`]); the
 //! single-image entries are that loop at batch 1, and the allocating
-//! entries are thin wrappers over the calling thread's persistent
-//! workspace.
+//! entries build a workspace from the plan for each call.
 
 use mfdfp_accel::qlayers::{
     avg_pool_codes, avg_pool_codes_batch_into, max_pool_codes, max_pool_codes_batch_into,
     pool_out_dims, relu_codes, ShiftConv, ShiftLinear, PRODUCT_FRAC_SHIFT,
 };
+use mfdfp_accel::AccelError;
 use mfdfp_dfp::{realign, AdderTree, DfpFormat, PackedPow2Matrix};
 use mfdfp_nn::{Layer, Network};
-use mfdfp_tensor::{
-    with_thread_workspace, AlignedVec, PoolKind, Shape, Tensor, Workspace, WorkspacePlan,
-};
+use mfdfp_tensor::{AlignedVec, PoolKind, Shape, Tensor, Workspace, WorkspacePlan};
 
 use crate::error::{CoreError, Result};
 use crate::quantize::QuantizationPlan;
@@ -76,12 +77,14 @@ pub enum QLayer {
     Relu,
 }
 
-/// One step of the lowered forward: a layer of the stack and, for a
-/// weighted layer, the lower rail its routing clamps to — 0 when the
-/// ReLU after it folded in, `i8::MIN` otherwise.
+/// One step of the lowered forward: a layer of the stack, the
+/// per-image length it writes and, for a weighted layer, the lower rail
+/// its routing clamps to — 0 when the ReLU after it folded in,
+/// `i8::MIN` otherwise.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     layer: usize,
+    out_len: usize,
     rail: i8,
 }
 
@@ -93,6 +96,8 @@ pub struct QuantizedNet {
     output_format: DfpFormat,
     layers: Vec<QLayer>,
     steps: Vec<Step>,
+    input_len: usize,
+    plan: WorkspacePlan,
     classes: usize,
     tree: AdderTree,
 }
@@ -201,17 +206,20 @@ impl QuantizedNet {
 
     /// Assembles a network from its parts — the one constructor both
     /// [`QuantizedNet::from_network`] and the deployment-image loader end
-    /// in. Checks that the engine can run the stack: 8-bit input and
-    /// output formats, and each shaped layer consuming exactly what the
-    /// previous one produces, the last producing `classes` values. Then
+    /// in, and the one walk over the layer list. Checks that the engine
+    /// can run the stack: 8-bit input and output formats, each layer
+    /// fitting the activation length that reaches it (a weighted layer's
+    /// own shape check, a pool's `C×H×W` and output size), the last
+    /// producing `classes` values. The same walk records each step's
+    /// output length, the input length and the workspace plan, and
     /// lowers the list into the forward's steps, folding ReLUs into the
     /// routing rail (see the [module docs](self)).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::BadConfig`] for an empty layer stack and
-    /// [`CoreError::BadImage`] for a non-8-bit format or an inconsistent
-    /// stack.
+    /// [`CoreError::BadImage`] for a non-8-bit format or a layer that
+    /// does not fit.
     pub(crate) fn from_parts(
         name: String,
         input_format: DfpFormat,
@@ -229,28 +237,79 @@ impl QuantizedNet {
                 )));
             }
         }
-        let mut cur = layers.iter().find_map(layer_in_len).unwrap_or(0);
-        for (i, layer) in layers.iter().enumerate() {
-            match layer_in_len(layer) {
-                Some(need) if need != cur => {
-                    return Err(CoreError::BadImage(format!(
-                        "layer {i} takes {need} values, the layer before produces {cur}"
-                    )));
-                }
-                _ => cur = layer_out_len(layer, cur),
-            }
+        // The first shaped layer fixes the input length; ReLUs before it
+        // take that length too.
+        let input_len = layers
+            .iter()
+            .find_map(|l| match l {
+                QLayer::Conv(c) => Some(c.geom.in_c * c.geom.in_h * c.geom.in_w),
+                QLayer::Linear(l) => Some(l.in_features),
+                QLayer::Pool { channels, in_h, in_w, .. } => Some(channels * in_h * in_w),
+                QLayer::Relu => None,
+            })
+            .unwrap_or(0);
+        if input_len == 0 {
+            return Err(CoreError::BadImage("the layer stack takes no input values".into()));
         }
-        if cur != classes {
+        let mut len = input_len;
+        let mut plan = WorkspacePlan { act_len: len, ..WorkspacePlan::default() };
+        let mut steps: Vec<Step> = Vec::with_capacity(layers.len());
+        // The step whose rail a ReLU here would set: the weighted layer
+        // before it, with only max pools in between (`max(0, ·)` commutes
+        // with max, not with a rounded mean).
+        let mut fold_into: Option<usize> = None;
+        for (i, layer) in layers.iter().enumerate() {
+            let bad = |e: &dyn std::fmt::Display| CoreError::BadImage(format!("layer {i}: {e}"));
+            len = match layer {
+                QLayer::Conv(c) => {
+                    c.validate(len).map_err(|e| bad(&e))?;
+                    plan.im2col_len = plan.im2col_len.max(c.im2col_len());
+                    fold_into = Some(steps.len());
+                    c.out_len()
+                }
+                QLayer::Linear(l) => {
+                    l.validate(len).map_err(|e| bad(&e))?;
+                    fold_into = Some(steps.len());
+                    l.out_features
+                }
+                QLayer::Pool { kind, channels, in_h, in_w, window, stride } => {
+                    let need = channels * in_h * in_w;
+                    if need != len {
+                        return Err(bad(&format!(
+                            "pool takes {need} values, the layer before produces {len}"
+                        )));
+                    }
+                    let (oh, ow) =
+                        pool_out_dims(*in_h, *in_w, *window, *stride).map_err(|e| bad(&e))?;
+                    if *kind == PoolKind::Avg {
+                        fold_into = None;
+                    }
+                    channels * oh * ow
+                }
+                QLayer::Relu => match fold_into {
+                    Some(w) => {
+                        steps[w].rail = 0;
+                        continue;
+                    }
+                    None => len,
+                },
+            };
+            plan.act_len = plan.act_len.max(len);
+            steps.push(Step { layer: i, out_len: len, rail: i8::MIN });
+        }
+        if len != classes {
             return Err(CoreError::BadImage(format!(
-                "layer stack produces {cur} logits, header declares {classes} classes"
+                "layer stack produces {len} logits, header declares {classes} classes"
             )));
         }
         Ok(QuantizedNet {
             name,
             input_format,
             output_format,
-            steps: lower(&layers),
             layers,
+            steps,
+            input_len,
+            plan,
             classes,
             tree: AdderTree::new(16).expect("16 is a power of two"),
         })
@@ -281,35 +340,23 @@ impl QuantizedNet {
         &self.layers
     }
 
-    /// Number of activation codes one input image must supply, derived
-    /// from the first compute layer's geometry. Shapeless layers (ReLU)
-    /// are skipped; `None` only for a stack with no Conv/Linear/Pool
-    /// layer at all, which [`QuantizedNet::from_network`] never produces.
+    /// Number of activation codes one input image must supply: the first
+    /// shaped layer's input length, recorded at load.
     ///
     /// Serving-side admission control uses this to reject malformed
     /// requests *before* they occupy queue capacity.
-    pub fn input_len(&self) -> Option<usize> {
-        self.layers.iter().find_map(layer_in_len)
+    pub fn input_len(&self) -> usize {
+        self.input_len
     }
 
-    /// Peak scratch sizes of the packed forward path, derived from the
-    /// layer geometry — the software analogue of sizing the hardware's
-    /// activation buffers at synthesis time. Feed the plan to
+    /// Peak scratch sizes of the packed forward path, recorded at load
+    /// from the layer geometry — the software analogue of sizing the
+    /// hardware's activation buffers at synthesis time. Feed the plan to
     /// [`Workspace::with_plan`] (or call
     /// [`WorkspacePlan::workspace`]) and even the *first*
     /// [`QuantizedNet::forward_codes_with`] pass allocates nothing.
     pub fn plan(&self) -> WorkspacePlan {
-        let mut cur = self.input_len().unwrap_or(0);
-        let mut act_len = cur;
-        let mut im2col_len = 0usize;
-        for layer in &self.layers {
-            if let QLayer::Conv(c) = layer {
-                im2col_len = im2col_len.max(c.im2col_len());
-            }
-            cur = layer_out_len(layer, cur);
-            act_len = act_len.max(cur);
-        }
-        WorkspacePlan { act_len, im2col_len, ..WorkspacePlan::default() }
+        self.plan
     }
 
     /// [`QuantizedNet::plan`] extended with the fused-batch dimension:
@@ -326,16 +373,15 @@ impl QuantizedNet {
     /// Runs integer-only inference on one `C×H×W` float image: quantizes
     /// the input to codes, then shifts/adds all the way to logit codes.
     ///
-    /// Thin wrapper over [`QuantizedNet::forward_codes_with`] drawing
-    /// scratch from the calling thread's persistent workspace: on a
-    /// long-lived thread, only the returned `Vec` allocates once the
-    /// thread is warm.
+    /// Thin wrapper over [`QuantizedNet::forward_codes_with`] with a
+    /// workspace built from [`QuantizedNet::plan`] for this call.
     ///
     /// # Errors
     ///
-    /// Propagates datapath faults (overflow audits, geometry mismatches).
+    /// Propagates datapath faults (overflow audits, input-length
+    /// mismatches).
     pub fn forward_codes(&self, image: &Tensor) -> Result<Vec<i8>> {
-        with_thread_workspace(|ws| Ok(self.forward_codes_with(image, ws)?.to_vec()))
+        Ok(self.forward_codes_with(image, &mut self.plan.workspace())?.to_vec())
     }
 
     /// The allocation-free forward: runs the packed shift-only datapath
@@ -349,7 +395,8 @@ impl QuantizedNet {
     ///
     /// # Errors
     ///
-    /// Propagates datapath faults (overflow audits, geometry mismatches).
+    /// Propagates datapath faults (overflow audits, input-length
+    /// mismatches).
     pub fn forward_codes_with<'w>(
         &self,
         image: &Tensor,
@@ -419,11 +466,10 @@ impl QuantizedNet {
         if n == 0 {
             return Ok(Vec::new());
         }
-        with_thread_workspace(|ws| {
-            let len = self.forward_packed_batch(batch.as_slice(), n, ws)?;
-            let codes = ws.codes(len * n);
-            Ok((0..n).map(|b| (0..len).map(|e| codes[e * n + b]).collect()).collect())
-        })
+        let mut ws = self.plan_for_batch(n).workspace();
+        let len = self.forward_packed_batch(batch.as_slice(), n, &mut ws)?;
+        let codes = ws.codes(len * n);
+        Ok((0..n).map(|b| (0..len).map(|e| codes[e * n + b]).collect()).collect())
     }
 
     /// The batch-fused packed forward: quantizes all `n` images into one
@@ -434,6 +480,9 @@ impl QuantizedNet {
     /// (`ShiftConv::run_batch_into` / `ShiftLinear::run_batch_into`).
     /// Returns the per-image logit-code count; the `len·n` interleaved
     /// codes sit in the workspace's front buffer ([`Workspace::codes`]).
+    /// `data` must hold exactly `n ≥ 1` images of
+    /// [`QuantizedNet::input_len`] values; every buffer size after that
+    /// check is the one load recorded for its step.
     ///
     /// Activations ping-pong between the workspace's two pre-sized
     /// buffers and convolutions stage their `i8` im2col columns in the
@@ -441,6 +490,12 @@ impl QuantizedNet {
     /// Row-banded parallelism sees the whole layer-batch product, so a
     /// pool of width ≥ 2 splits per-layer work.
     fn forward_packed_batch(&self, data: &[f32], n: usize, ws: &mut Workspace) -> Result<usize> {
+        if data.len() != n * self.input_len {
+            return Err(CoreError::Accel(AccelError::BadInput {
+                expected: n * self.input_len,
+                actual: data.len(),
+            }));
+        }
         let (mut cur, mut nxt) = ws.take_act();
         let result = self.forward_packed_batch_layers(data, n, ws, &mut cur, &mut nxt);
         ws.restore_act(cur, nxt);
@@ -455,37 +510,34 @@ impl QuantizedNet {
         cur: &mut AlignedVec<i8>,
         nxt: &mut AlignedVec<i8>,
     ) -> Result<usize> {
-        let per_image = data.len() / n;
-        cur.resize(per_image * n, 0);
+        cur.resize(self.input_len * n, 0);
         let input_format = self.input_format;
-        // `.max(1)`: an empty image must reach the first layer's length
-        // check, not panic in `chunks_exact(0)`.
-        for (b, image) in data.chunks_exact(per_image.max(1)).enumerate() {
+        for (b, image) in data.chunks_exact(self.input_len).enumerate() {
             for (c, &x) in cur[b..].iter_mut().step_by(n).zip(image) {
                 *c = input_format.quantize(x) as i8;
             }
         }
-        for &Step { layer: idx, rail } in &self.steps {
+        for &Step { layer: idx, out_len, rail } in &self.steps {
             // Flight-recorder: one span per step covering the whole
             // batch, label = layer kind, arg = layer index.
-            match &self.layers[idx] {
+            let layer = &self.layers[idx];
+            if let QLayer::Relu = layer {
+                let _span = mfdfp_obs::span!("qnet.relu", idx as u64);
+                relu_codes(cur);
+                continue;
+            }
+            nxt.resize(out_len * n, 0);
+            match layer {
                 QLayer::Conv(c) => {
                     let _span = mfdfp_obs::span!("qnet.conv", idx as u64);
-                    nxt.resize(c.out_len() * n, 0);
-                    c.run_batch_railed_into(cur, n, ws, rail, nxt).map_err(CoreError::Accel)?;
-                    std::mem::swap(cur, nxt);
+                    c.run_batch_railed_into(cur, n, ws, rail, nxt)
                 }
                 QLayer::Linear(l) => {
                     let _span = mfdfp_obs::span!("qnet.linear", idx as u64);
-                    nxt.resize(l.out_features * n, 0);
-                    l.run_batch_railed_into(cur, n, rail, nxt).map_err(CoreError::Accel)?;
-                    std::mem::swap(cur, nxt);
+                    l.run_batch_railed_into(cur, n, rail, nxt)
                 }
                 QLayer::Pool { kind, channels, in_h, in_w, window, stride } => {
                     let _span = mfdfp_obs::span!("qnet.pool", idx as u64);
-                    let (oh, ow) =
-                        pool_out_dims(*in_h, *in_w, *window, *stride).map_err(CoreError::Accel)?;
-                    nxt.resize(channels * oh * ow * n, 0);
                     match kind {
                         PoolKind::Max => max_pool_codes_batch_into(
                             cur, *channels, *in_h, *in_w, *window, *stride, n, nxt,
@@ -494,14 +546,11 @@ impl QuantizedNet {
                             cur, *channels, *in_h, *in_w, *window, *stride, n, nxt,
                         ),
                     }
-                    .map_err(CoreError::Accel)?;
-                    std::mem::swap(cur, nxt);
                 }
-                QLayer::Relu => {
-                    let _span = mfdfp_obs::span!("qnet.relu", idx as u64);
-                    relu_codes(cur);
-                }
+                QLayer::Relu => unreachable!("ReLU steps run in place above"),
             }
+            .map_err(CoreError::Accel)?;
+            std::mem::swap(cur, nxt);
         }
         Ok(cur.len() / n)
     }
@@ -526,9 +575,8 @@ impl QuantizedNet {
     pub fn logits_batch(&self, batch: &Tensor) -> Result<Tensor> {
         let n = batch.shape().dim(0);
         let mut out = Tensor::zeros(Shape::d2(n, self.classes));
-        with_thread_workspace(|ws| {
-            self.logits_batch_into(batch.as_slice(), n, ws, out.as_mut_slice())
-        })?;
+        let mut ws = self.plan_for_batch(n).workspace();
+        self.logits_batch_into(batch.as_slice(), n, &mut ws, out.as_mut_slice())?;
         Ok(out)
     }
 
@@ -554,8 +602,9 @@ impl QuantizedNet {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::BadConfig`] if `data` does not split into `n`
-    /// equal images or `out` is not `n × classes`; propagates datapath
+    /// Returns [`CoreError::BadConfig`] if `out` is not `n × classes`,
+    /// [`AccelError::BadInput`] if `data` is not `n` images of
+    /// [`QuantizedNet::input_len`] values, and propagates datapath
     /// faults.
     pub fn logits_batch_into(
         &self,
@@ -564,8 +613,14 @@ impl QuantizedNet {
         ws: &mut Workspace,
         out: &mut [f32],
     ) -> Result<()> {
-        self.check_batch_buffers(data, n, out.len())?;
-        if n == 0 {
+        if out.len() != n * self.classes {
+            return Err(CoreError::BadConfig(format!(
+                "logit buffer holds {} values, batch needs {}",
+                out.len(),
+                n * self.classes
+            )));
+        }
+        if n == 0 && data.is_empty() {
             return Ok(());
         }
         let len = self.forward_packed_batch(data, n, ws)?;
@@ -575,29 +630,6 @@ impl QuantizedNet {
             for (c, o) in row.iter_mut().enumerate() {
                 *o = self.output_format.dequantize(codes[c * n + b] as i32);
             }
-        }
-        Ok(())
-    }
-
-    /// Shape validation of the flat batched-logits entry.
-    fn check_batch_buffers(&self, data: &[f32], n: usize, out_len: usize) -> Result<()> {
-        if n == 0 {
-            if data.is_empty() && out_len == 0 {
-                return Ok(());
-            }
-            return Err(CoreError::BadConfig("empty batch with non-empty buffers".into()));
-        }
-        if !data.len().is_multiple_of(n) {
-            return Err(CoreError::BadConfig(format!(
-                "batch of {} elements does not split into {n} images",
-                data.len()
-            )));
-        }
-        if out_len != n * self.classes {
-            return Err(CoreError::BadConfig(format!(
-                "logit buffer holds {out_len} values, batch needs {}",
-                n * self.classes
-            )));
         }
         Ok(())
     }
@@ -621,61 +653,6 @@ impl QuantizedNet {
             }
         }
         weights.div_ceil(2) + biases
-    }
-}
-
-/// Lowers a layer stack into forward steps. A ReLU folds into the routing
-/// rail of the weighted layer before it, with only max pools in between
-/// (`max(0, ·)` commutes with max, not with a rounded mean); any other
-/// ReLU stays a step.
-fn lower(layers: &[QLayer]) -> Vec<Step> {
-    let mut steps: Vec<Step> = Vec::with_capacity(layers.len());
-    // The step whose rail a ReLU here would set.
-    let mut fold_into: Option<usize> = None;
-    for (layer, l) in layers.iter().enumerate() {
-        match l {
-            QLayer::Relu => {
-                if let Some(w) = fold_into {
-                    steps[w].rail = 0;
-                    continue;
-                }
-            }
-            QLayer::Conv(_) | QLayer::Linear(_) => fold_into = Some(steps.len()),
-            QLayer::Pool { kind: PoolKind::Max, .. } => {}
-            QLayer::Pool { kind: PoolKind::Avg, .. } => fold_into = None,
-        }
-        steps.push(Step { layer, rail: i8::MIN });
-    }
-    steps
-}
-
-/// Input element count one layer consumes; `None` for shapeless layers
-/// (ReLU), which take whatever the layer before produces.
-fn layer_in_len(layer: &QLayer) -> Option<usize> {
-    match layer {
-        QLayer::Conv(c) => Some(c.geom.in_c * c.geom.in_h * c.geom.in_w),
-        QLayer::Linear(l) => Some(l.in_features),
-        QLayer::Pool { channels, in_h, in_w, .. } => Some(channels * in_h * in_w),
-        QLayer::Relu => None,
-    }
-}
-
-/// Output element count of one layer given its input length — the
-/// workspace-planning walk ([`QuantizedNet::plan`]) and the forward loop
-/// agree on these sizes by construction. A degenerate pool (zero
-/// window/stride, rejected at run time) passes its input through so
-/// planning never fails.
-fn layer_out_len(layer: &QLayer, input_len: usize) -> usize {
-    match layer {
-        QLayer::Conv(c) => c.out_len(),
-        QLayer::Linear(l) => l.out_features,
-        QLayer::Pool { channels, in_h, in_w, window, stride, .. } => {
-            match pool_out_dims(*in_h, *in_w, *window, *stride) {
-                Ok((oh, ow)) => channels * oh * ow,
-                Err(_) => input_len,
-            }
-        }
-        QLayer::Relu => input_len,
     }
 }
 
@@ -764,7 +741,7 @@ mod tests {
         let (net, plan, calib) = setup();
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         let wplan = q.plan();
-        assert_eq!(wplan.act_len, q.input_len().unwrap().max(wplan.act_len));
+        assert_eq!(wplan.act_len, q.input_len().max(wplan.act_len));
         assert!(wplan.im2col_len > 0, "conv layers must demand im2col staging");
         let mut ws = wplan.workspace();
         for s in 0..calib[0].0.shape().dim(0) {
@@ -824,7 +801,9 @@ mod tests {
             pool(PoolKind::Max),
             QLayer::Relu, // 10: folds into 8
         ];
-        let steps: Vec<(usize, i8)> = lower(&layers).iter().map(|s| (s.layer, s.rail)).collect();
+        let fmt = DfpFormat::new(8, 0).unwrap();
+        let q = QuantizedNet::from_parts("lowering".into(), fmt, fmt, 1, layers.to_vec()).unwrap();
+        let steps: Vec<(usize, i8)> = q.steps.iter().map(|s| (s.layer, s.rail)).collect();
         let min = i8::MIN;
         assert_eq!(steps, [(0, min), (1, 0), (4, min), (6, min), (7, min), (8, 0), (9, min)]);
 
@@ -834,6 +813,25 @@ mod tests {
         assert!(q.steps.iter().all(|s| !matches!(q.layers[s.layer], QLayer::Relu)));
         let rails: Vec<i8> = q.steps.iter().map(|s| s.rail).collect();
         assert_eq!(rails, [0, min, 0, min, 0, min, min, min]);
+    }
+
+    #[test]
+    fn load_refuses_a_stack_without_input() {
+        let fmt = DfpFormat::new(8, 0).unwrap();
+        let empty_linear = QLayer::Linear(ShiftLinear {
+            in_features: 0,
+            out_features: 1,
+            weights: PackedPow2Matrix::from_f32(1, 0, &[]).unwrap(),
+            bias: vec![0].into(),
+            in_frac: 0,
+            out_frac: 0,
+        });
+        for layers in [vec![QLayer::Relu], vec![QLayer::Relu, empty_linear]] {
+            assert!(matches!(
+                QuantizedNet::from_parts("no-input".into(), fmt, fmt, 1, layers),
+                Err(CoreError::BadImage(_))
+            ));
+        }
     }
 
     #[test]

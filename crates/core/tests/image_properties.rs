@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use mfdfp_core::{calibrate, to_image, CoreError, ImageView, QLayer, QuantizedNet, ZooBuilder};
 use mfdfp_dfp::AlignedBytes;
-use mfdfp_nn::zoo;
-use mfdfp_tensor::{Tensor, TensorRng};
+use mfdfp_nn::layers::{Conv2d, Flatten, Linear, Pool};
+use mfdfp_nn::{zoo, Layer, Network};
+use mfdfp_tensor::{ConvGeometry, PoolGeometry, PoolKind, Tensor, TensorRng};
 use proptest::prelude::*;
 
 /// A small calibrated MF-DFP network (3×16×16 input, 10 classes) whose
@@ -217,6 +218,49 @@ fn inconsistent_layer_stack_is_rejected_at_load() {
     pool[entry + 12..entry + 16].copy_from_slice(&(channels + 1).to_le_bytes());
     restamp(&mut pool);
     assert!(matches!(load(&pool), Err(CoreError::BadImage(_))));
+}
+
+/// A checksummed image whose pool has no defined output — window 0,
+/// stride 0, or a stride past the window whose last window starts beyond
+/// the input's edge — is refused at load, not served into a pool error on
+/// every request. The net is conv → 1×1 stride-1 max pool → linear, so
+/// the pool passes its input through and only the pool's own geometry
+/// can refuse the edit.
+#[test]
+fn degenerate_pool_is_rejected_at_load() {
+    let mut rng = TensorRng::seed_from(11);
+    let mut net = Network::new("degenerate-pool");
+    let conv = ConvGeometry::new(2, 4, 4, 3, 3, 1, 1).unwrap();
+    net.push(Layer::Conv(Conv2d::new("conv", conv, &mut rng)));
+    let pool = PoolGeometry::new(3, 4, 4, 1, 1).unwrap();
+    net.push(Layer::Pool(Pool::new("pool", PoolKind::Max, pool)));
+    net.push(Layer::Flatten(Flatten::new()));
+    net.push(Layer::Linear(Linear::new("fc", 3 * 4 * 4, 5, &mut rng)));
+    let x = rng.gaussian([2, 2, 4, 4], 0.0, 0.7);
+    let plan = calibrate(&mut net, &[(x, vec![0, 1])], 8).unwrap();
+    let image = to_image(&QuantizedNet::from_network(&net, &plan).unwrap());
+    let load = |bytes: &[u8]| {
+        let view = ImageView::open(Arc::new(AlignedBytes::from_slice(bytes))).unwrap();
+        QuantizedNet::from_image(&view)
+    };
+    assert!(load(image.as_slice()).is_ok());
+
+    // Layer 1's entry; a pool keeps its window at +24, its stride at +28.
+    let ltab = u32::from_le_bytes(image.as_slice()[32..36].try_into().unwrap()) as usize;
+    let entry = ltab + 96;
+    assert_eq!(image.as_slice()[entry..entry + 4], 2u32.to_le_bytes(), "layer 1 is the pool");
+    // Stride 5 past a window of 1 over a 4×4 input: the second window
+    // would start at row 5.
+    for (window, stride) in [(0u32, 1u32), (1, 0), (1, 5)] {
+        let mut bytes = image.as_slice().to_vec();
+        bytes[entry + 24..entry + 28].copy_from_slice(&window.to_le_bytes());
+        bytes[entry + 28..entry + 32].copy_from_slice(&stride.to_le_bytes());
+        restamp(&mut bytes);
+        match load(&bytes) {
+            Err(CoreError::BadImage(msg)) => assert!(msg.contains("pool"), "{msg}"),
+            other => panic!("window {window}, stride {stride}: {other:?}"),
+        }
+    }
 }
 
 /// The integer engine is 8-bit end to end: a checksummed image whose

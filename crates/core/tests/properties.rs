@@ -102,6 +102,44 @@ proptest! {
             prop_assert_eq!(&q.forward_codes(&batch.index_axis0(s)).unwrap(), want, "image {}", s);
         }
     }
+
+    /// The shape facts load records ≡ the float framework's own: the
+    /// plan's activation peak is the largest element count in the float
+    /// net's forward trace (input included), its im2col peak the largest
+    /// conv `col_height·out_h·out_w`, and the input length the float
+    /// input's element count.
+    #[test]
+    fn recorded_shapes_match_float_forward(
+        seed in 0u64..10_000,
+        lead in proptest::bool::ANY,
+        a in proptest::collection::vec(0u8..3, 0..4),
+        b in proptest::collection::vec(0u8..3, 0..3),
+        fc_relus in 0usize..3,
+    ) {
+        let mut net = random_stack(seed, lead, &a, &b, fc_relus);
+        let mut rng = TensorRng::seed_from(seed ^ 0x5EED);
+        let calib = rng.gaussian([4, 3, 7, 7], 0.0, 0.7);
+        let plan = calibrate(&mut net, &[(calib, vec![0, 1, 2, 3])], 8).unwrap();
+        let q = QuantizedNet::from_network(&net, &plan).unwrap();
+        let x = rng.gaussian([1, 3, 7, 7], 0.0, 0.8);
+        let trace = net.forward_trace(&x, Phase::Eval).unwrap();
+        let act_len = trace.iter().map(Tensor::len).max().unwrap();
+        let im2col_len = net
+            .layers()
+            .iter()
+            .filter_map(|l| match l {
+                Layer::Conv(c) => {
+                    let g = c.geometry();
+                    Some(g.col_height() * g.out_h() * g.out_w())
+                }
+                _ => None,
+            })
+            .max()
+            .unwrap();
+        prop_assert_eq!(q.input_len(), x.len());
+        prop_assert_eq!(q.plan().act_len, act_len);
+        prop_assert_eq!(q.plan().im2col_len, im2col_len);
+    }
 }
 
 proptest! {

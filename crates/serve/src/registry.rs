@@ -25,9 +25,9 @@ impl ServedModel {
         self.0.classes()
     }
 
-    /// Expected input element count per image, when derivable from the
-    /// first member's first compute layer.
-    pub fn input_len(&self) -> Option<usize> {
+    /// Expected input element count per image (every member takes the
+    /// same; [`Ensemble::new`] checks it).
+    pub fn input_len(&self) -> usize {
         self.0.members()[0].input_len()
     }
 

@@ -226,14 +226,13 @@ impl Server {
             let _span = mfdfp_obs::span!("serve.route", self.shards.len() as u64);
             self.registry.get_versioned(model)?
         };
-        if let Some(expected) = resolved.input_len() {
-            if image.len() != expected {
-                return Err(ServeError::BadInput {
-                    model: model.to_string(),
-                    expected,
-                    actual: image.len(),
-                });
-            }
+        let expected = resolved.input_len();
+        if image.len() != expected {
+            return Err(ServeError::BadInput {
+                model: model.to_string(),
+                expected,
+                actual: image.len(),
+            });
         }
         let metrics_model = self.metrics.model(model);
         metrics_model.note_version(version);

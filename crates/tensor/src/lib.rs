@@ -60,4 +60,4 @@ pub use ops::reduce::{
 };
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use workspace::{with_thread_workspace, Workspace, WorkspacePlan};
+pub use workspace::{Workspace, WorkspacePlan};

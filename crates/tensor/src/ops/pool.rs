@@ -38,8 +38,10 @@ impl PoolGeometry {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::BadGeometry`] on zero extents or a window
-    /// larger than the input.
+    /// Returns [`TensorError::BadGeometry`] on zero extents, a window
+    /// larger than the input, or a stride wider than the window whose
+    /// last window would start past the input's edge (it would pool
+    /// nothing).
     pub fn new(
         channels: usize,
         in_h: usize,
@@ -58,7 +60,13 @@ impl PoolGeometry {
                 "pool window {window} larger than input {in_h}x{in_w}"
             )));
         }
-        Ok(PoolGeometry { channels, in_h, in_w, window, stride })
+        let g = PoolGeometry { channels, in_h, in_w, window, stride };
+        if (g.out_h() - 1) * stride >= in_h || (g.out_w() - 1) * stride >= in_w {
+            return Err(TensorError::BadGeometry(format!(
+                "pool window {window} at stride {stride} starts past the {in_h}x{in_w} input"
+            )));
+        }
+        Ok(g)
     }
 
     /// Output height (ceil mode).
@@ -236,6 +244,13 @@ mod tests {
         assert!(PoolGeometry::new(1, 4, 4, 0, 2).is_err());
         assert!(PoolGeometry::new(1, 4, 4, 2, 0).is_err());
         assert!(PoolGeometry::new(1, 2, 2, 3, 1).is_err());
+        // Stride 5 past a window of 2: the second window would start at
+        // row 5 of 4 and pool nothing.
+        assert!(PoolGeometry::new(1, 4, 4, 2, 5).is_err());
+        assert!(PoolGeometry::new(1, 2, 4, 2, 5).is_err());
+        // Stride 3 past a window of 2 still starts its last window inside.
+        let g = PoolGeometry::new(1, 4, 4, 2, 3).unwrap();
+        assert_eq!((g.out_h(), g.out_w()), (2, 2));
     }
 
     #[test]

@@ -12,29 +12,23 @@
 //! every subsequent pass reuses the same capacity, so a warmed workspace
 //! makes the whole forward path allocation-free at steady state.
 //!
-//! Two ownership patterns cover every call site:
-//!
-//! * **Caller-owned** — construct a [`Workspace`] (ideally from a model's
-//!   plan) and thread it through the `*_with`/`*_into` entry points.
-//! * **Per-thread** — [`with_thread_workspace`] hands out a workspace that
-//!   lives as long as its OS thread. Because the `mfdfp-rt` pool workers
-//!   and the serving workers are *persistent* threads, this gives each of
-//!   them a private workspace that warms once and is never contended —
-//!   the software analogue of each hardware processing unit owning its
-//!   activation buffers.
+//! A workspace has one owner, the caller: it builds a [`Workspace`] from
+//! a model's plan and threads it through the `*_with`/`*_into` entry
+//! points. A serving worker owns one for its lifetime, so it warms once
+//! and is never contended — the software analogue of each hardware
+//! processing unit owning its activation buffers. The allocating
+//! conveniences build one from the plan per call.
 //!
 //! The packed GEMM kernel ([`crate::ops::qgemm`]) needs none of this: its
 //! buckets and accumulator lanes are fixed-size arrays on the stack of
 //! whichever thread runs the band.
 
-use std::cell::RefCell;
-
 use mfdfp_dfp::AlignedVec;
 
 /// Peak scratch-buffer sizes for one model, as computed from its layer
-/// geometry (e.g. by `QuantizedNet::plan()` in `mfdfp-core`). Feeding a
-/// plan to [`Workspace::with_plan`] sizes every buffer once, so even the
-/// first forward pass allocates nothing.
+/// geometry (`QuantizedNet::plan()` in `mfdfp-core` records it at load).
+/// Feeding a plan to [`Workspace::with_plan`] sizes every buffer once, so
+/// even the first forward pass allocates nothing.
 ///
 /// Plans combine with [`WorkspacePlan::merge`] (element-wise max), so one
 /// workspace can be pre-sized for every model a worker may serve.
@@ -97,8 +91,8 @@ impl WorkspacePlan {
 ///
 /// All buffers start empty; entry points grow them on demand and never
 /// shrink them, so capacity converges to the peak of whatever workload the
-/// workspace serves and stays there. See the [module docs](self) for the
-/// ownership patterns.
+/// workspace serves and stays there. See the [module docs](self) for who
+/// owns one.
 ///
 /// # Examples
 ///
@@ -209,33 +203,6 @@ impl Workspace {
     }
 }
 
-thread_local! {
-    /// One workspace per OS thread (see [`with_thread_workspace`]).
-    static THREAD_WS: RefCell<Workspace> = RefCell::new(Workspace::new());
-}
-
-/// Runs `f` with the calling thread's persistent [`Workspace`].
-///
-/// On a long-lived thread — an `mfdfp-rt` pool worker, a serving worker,
-/// a caller's request loop — the workspace warms on first use and every
-/// later call is allocation-free. The allocating convenience APIs
-/// (`ShiftConv::run`, `QuantizedNet::forward_codes`, …) route through
-/// this, so even they stop allocating scratch after their thread's first
-/// call.
-///
-/// Re-entrancy: if the thread workspace is already borrowed higher up the
-/// stack — a nested call, made from inside an `f` passed here — the
-/// inner `f` receives a fresh temporary workspace instead. Correctness is
-/// unaffected; the nested call pays its own scratch allocations. No pool
-/// task in this workspace borrows it: the kernels' row bands keep their
-/// scratch on the stack, and the serve tier's workers own theirs.
-pub fn with_thread_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
-    THREAD_WS.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ws) => f(&mut ws),
-        Err(_) => f(&mut Workspace::new()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,27 +275,5 @@ mod tests {
         let again = ws.take_f32();
         assert_eq!(&again[..], &[1.5]);
         ws.restore_f32(again);
-    }
-
-    #[test]
-    fn thread_workspace_persists_capacity_across_calls() {
-        let first_cap = with_thread_workspace(|ws| {
-            ws.im2col_i8(256);
-            ws.im2col.capacity()
-        });
-        let second_cap = with_thread_workspace(|ws| ws.im2col.capacity());
-        assert!(second_cap >= first_cap.min(256));
-    }
-
-    #[test]
-    fn reentrant_thread_workspace_falls_back_to_fresh() {
-        with_thread_workspace(|outer| {
-            outer.im2col_i8(4).fill(9);
-            // A nested borrow (the pool-helper scenario) must still work.
-            with_thread_workspace(|inner| {
-                assert_eq!(inner.im2col.len(), 0, "fallback workspace is fresh");
-            });
-            assert_eq!(outer.im2col_i8(4)[0], 9);
-        });
     }
 }
