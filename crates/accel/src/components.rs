@@ -8,10 +8,8 @@
 //! — the savings percentages are outputs of the model, not inputs
 //! (see PAPER_MAP.md, "§4 · Accelerator design").
 
-use serde::{Deserialize, Serialize};
-
 /// Area (µm²) and power (mW at 250 MHz) of one hardware component.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AreaPower {
     /// Silicon area in µm².
     pub area_um2: f64,
@@ -47,7 +45,7 @@ impl AreaPower {
 /// The calibrated 65 nm component library.
 ///
 /// All values are per instance unless stated otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComponentLibrary {
     /// 32-bit floating-point multiplier (3-stage pipeline).
     pub fp32_multiplier: AreaPower,

@@ -1,15 +1,13 @@
 //! Accelerator design composition: datapath precision, processing-unit
 //! organisation, memory subsystem — and the resulting area/power.
 
-use serde::{Deserialize, Serialize};
-
 use mfdfp_dfp::AdderTree;
 
 use crate::components::{AreaPower, ComponentLibrary};
 use crate::error::{AccelError, Result};
 
 /// Datapath precision of an accelerator design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit floating point throughout (the paper's baseline): real
     /// multipliers, constant 32-bit datapath.
@@ -38,7 +36,7 @@ impl Precision {
 /// (input / weights / output) with DMA, shared control. The ensemble
 /// design instantiates `num_pus = 2` with duplicated datapaths and buffers
 /// but shared control.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorConfig {
     /// Datapath precision.
     pub precision: Precision,
@@ -148,7 +146,7 @@ impl Default for AcceleratorConfig {
 }
 
 /// One line of an area/power breakdown.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakdownLine {
     /// Component group name.
     pub component: String,
@@ -159,7 +157,7 @@ pub struct BreakdownLine {
 }
 
 /// Area/power of a composed accelerator design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignMetrics {
     /// Total silicon area (mm²).
     pub area_mm2: f64,

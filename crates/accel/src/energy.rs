@@ -5,14 +5,13 @@
 //! operations a deployment *actually executed*.
 
 use mfdfp_obs::OpCounters;
-use serde::{Deserialize, Serialize};
 
 use crate::components::{AreaPower, ComponentLibrary};
 use crate::design::DesignMetrics;
 use crate::schedule::NetworkSchedule;
 
 /// Time/energy of running one inference on one design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunReport {
     /// Total cycles for one input.
     pub cycles: u64,
@@ -51,7 +50,7 @@ impl RunReport {
 /// shift-MACs and staging bytes the runtime counted while serving real
 /// traffic (`mfdfp_obs::ops::counters()`), which is how the serve
 /// metrics' `energy_estimate` sub-object is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCostModel {
     /// One multiplier-free MAC: barrel shift + 20-bit integer add (the
     /// widest tree stage — a deliberate upper bound).
@@ -98,7 +97,7 @@ impl OpCostModel {
 
 /// A priced op-counter snapshot (all in microjoules) — see
 /// [`OpCostModel::estimate`]. All-zero when nothing was counted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpEnergyEstimate {
     /// Energy of the counted shift-MACs on the multiplier-free datapath.
     pub mac_uj: f64,

@@ -15,8 +15,6 @@
 //! An optional bandwidth-limited DMA model ([`DmaModel::Limited`]) exists
 //! for the ablation bench quantifying what the paper's exclusion hides.
 
-use serde::{Deserialize, Serialize};
-
 use mfdfp_nn::{Layer, Network};
 use mfdfp_tensor::PoolKind;
 
@@ -31,7 +29,7 @@ pub const PIPELINE_DEPTH_FP32: u64 = 10;
 pub const PIPELINE_DEPTH_MFDFP: u64 = 6;
 
 /// Main-memory DMA model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DmaModel {
     /// Transfers fully overlap with compute (the paper's methodology).
     #[default]
@@ -45,7 +43,7 @@ pub enum DmaModel {
 }
 
 /// Cycle accounting for one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerCycles {
     /// Layer description (from the network).
     pub layer: String,
@@ -61,7 +59,7 @@ pub struct LayerCycles {
 }
 
 /// Cycle schedule of one network on one accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSchedule {
     /// Per-layer accounting.
     pub layers: Vec<LayerCycles>,

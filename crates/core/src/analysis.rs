@@ -7,13 +7,11 @@
 //! error being small relative to activations. This module measures both
 //! for any network, so the claims can be checked rather than assumed.
 
-use serde::{Deserialize, Serialize};
-
 use mfdfp_dfp::{Pow2Weight, EXP_MAX, EXP_MIN};
 use mfdfp_nn::{Layer, Network};
 
 /// Histogram of quantized weight exponents across a network.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExponentHistogram {
     /// `counts[i]` = number of weights with exponent `−i` (0 ⇒ e = 0, …,
     /// 7 ⇒ e = −7).
@@ -67,7 +65,7 @@ pub fn exponent_histogram(net: &Network) -> ExponentHistogram {
 }
 
 /// Per-layer weight quantization error statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerQuantError {
     /// Layer description.
     pub layer: String,

@@ -5,15 +5,13 @@
 //! dynamic fixed-point code) — which reproduces the paper's numbers
 //! exactly: cifar10-full 0.3417 → 0.0428 MiB, AlexNet 237.95 → 29.75 MiB.
 
-use serde::{Deserialize, Serialize};
-
 use mfdfp_nn::{Layer, Network};
 
 /// Bytes in one MiB (the paper's "MB" column is mebibytes).
 pub const MIB: f64 = 1024.0 * 1024.0;
 
 /// Parameter-memory report for one network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryReport {
     /// Weight parameters (conv kernels + FC matrices).
     pub weights: u64,

@@ -2,8 +2,6 @@
 //! fine-tuning → Phase-2 student–teacher fine-tuning → deployed
 //! [`QuantizedNet`].
 
-use serde::{Deserialize, Serialize};
-
 use mfdfp_data::{Batcher, SyntheticDataset};
 use mfdfp_nn::{DistillConfig, Network, PlateauSchedule, SgdConfig};
 
@@ -13,7 +11,7 @@ use crate::quantize::calibrate;
 use crate::shadow::ShadowTrainer;
 
 /// Which phase an epoch belongs to (Figure 3's x-axis annotation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseTag {
     /// Hard-label fine-tuning.
     Phase1,
@@ -22,7 +20,7 @@ pub enum PhaseTag {
 }
 
 /// One point of the fine-tuning trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochPoint {
     /// Phase of this epoch.
     pub phase: PhaseTag,
@@ -37,7 +35,7 @@ pub struct EpochPoint {
 }
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Activation bit-width (the paper: 8).
     pub activation_bits: u8,

@@ -237,17 +237,26 @@ impl QuantizedNet {
                 )));
             }
         }
+        // A pool's extents come straight from the image; their product
+        // may not fit (a conv's was checked by `ConvGeometry::new`).
+        let pool_len = |channels: usize, in_h: usize, in_w: usize| {
+            channels.checked_mul(in_h).and_then(|n| n.checked_mul(in_w)).ok_or_else(|| {
+                CoreError::BadImage(format!("pool extents {channels}x{in_h}x{in_w} overflow"))
+            })
+        };
         // The first shaped layer fixes the input length; ReLUs before it
         // take that length too.
         let input_len = layers
             .iter()
             .find_map(|l| match l {
-                QLayer::Conv(c) => Some(c.geom.in_c * c.geom.in_h * c.geom.in_w),
-                QLayer::Linear(l) => Some(l.in_features),
-                QLayer::Pool { channels, in_h, in_w, .. } => Some(channels * in_h * in_w),
+                QLayer::Conv(c) => Some(Ok(c.geom.in_c * c.geom.in_h * c.geom.in_w)),
+                QLayer::Linear(l) => Some(Ok(l.in_features)),
+                QLayer::Pool { channels, in_h, in_w, .. } => {
+                    Some(pool_len(*channels, *in_h, *in_w))
+                }
                 QLayer::Relu => None,
             })
-            .unwrap_or(0);
+            .unwrap_or(Ok(0))?;
         if input_len == 0 {
             return Err(CoreError::BadImage("the layer stack takes no input values".into()));
         }
@@ -273,7 +282,7 @@ impl QuantizedNet {
                     l.out_features
                 }
                 QLayer::Pool { kind, channels, in_h, in_w, window, stride } => {
-                    let need = channels * in_h * in_w;
+                    let need = pool_len(*channels, *in_h, *in_w)?;
                     if need != len {
                         return Err(bad(&format!(
                             "pool takes {need} values, the layer before produces {len}"

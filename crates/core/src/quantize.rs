@@ -4,8 +4,6 @@
 //! (fake-quantized float, for fine-tuning) and the *hardware network*
 //! (integer codes, for deployment and the accelerator functional model).
 
-use serde::{Deserialize, Serialize};
-
 use mfdfp_dfp::{DfpFormat, Pow2Weight, RangeStats};
 use mfdfp_nn::layers::FakeQuant;
 use mfdfp_nn::{Layer, Network, Phase};
@@ -20,7 +18,7 @@ use crate::error::{CoreError, Result};
 /// Accumulator & Routing stage is the only place a radix shift exists —
 /// ReLU, pooling and flatten inherit their input format), which keeps the
 /// fake-quantized working network and the integer engine bit-aligned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizationPlan {
     /// Activation bit-width (the paper: 8).
     pub activation_bits: u8,

@@ -263,6 +263,37 @@ fn degenerate_pool_is_rejected_at_load() {
     }
 }
 
+/// A checksummed image whose conv or pool extents multiply past `usize`
+/// is refused at load as a typed error, not an overflow panic (or, in a
+/// release build, a silently wrapped buffer size).
+#[test]
+fn overflowing_extents_are_rejected_at_load() {
+    let image = to_image(&tiny_qnet(7));
+    let load = |bytes: &[u8]| {
+        let view = ImageView::open(Arc::new(AlignedBytes::from_slice(bytes)))?;
+        QuantizedNet::from_image(&view)
+    };
+    let ltab = u32::from_le_bytes(image.as_slice()[32..36].try_into().unwrap()) as usize;
+    let n_layers = u32::from_le_bytes(image.as_slice()[12..16].try_into().unwrap()) as usize;
+    let pool = (0..n_layers)
+        .map(|i| ltab + 96 * i)
+        .find(|&e| image.as_slice()[e..e + 4] == 2u32.to_le_bytes())
+        .expect("the test net has a pool layer");
+    assert_eq!(image.as_slice()[ltab..ltab + 4], 0u32.to_le_bytes(), "layer 0 is a conv");
+    // A conv keeps in_h, in_w at +12, +16; a pool at +16, +20.
+    for (name, field) in [("conv", ltab + 12), ("pool", pool + 16)] {
+        let mut bytes = image.as_slice().to_vec();
+        for side in [field, field + 4] {
+            bytes[side..side + 4].copy_from_slice(&(1u32 << 31).to_le_bytes());
+        }
+        restamp(&mut bytes);
+        match load(&bytes) {
+            Err(CoreError::BadImage(msg)) => assert!(msg.contains("overflow"), "{name}: {msg}"),
+            other => panic!("{name} with 2^31 x 2^31 extents: {other:?}"),
+        }
+    }
+}
+
 /// The integer engine is 8-bit end to end: a checksummed image whose
 /// header declares a wider input or output format is refused at load.
 /// (A 16-bit input code of 160 would otherwise wrap through `as i8` to

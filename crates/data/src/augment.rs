@@ -4,12 +4,11 @@
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use mfdfp_tensor::{Shape, Tensor};
 
 /// Augmentation configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AugmentConfig {
     /// Zero-padding added on every border before cropping back to the
     /// original size at a random offset (0 disables cropping).

@@ -13,12 +13,11 @@
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use mfdfp_tensor::{Shape, Tensor};
 
 /// Specification of a synthetic dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthSpec {
     /// Number of classes.
     pub classes: usize,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DfpError, Result};
 
 /// A dynamic fixed-point format `⟨b, f⟩` (Courbariaux et al. notation used
@@ -27,7 +25,7 @@ use crate::error::{DfpError, Result};
 /// assert!((fmt.dequantize(code) - 1.375).abs() < 1e-6);
 /// # Ok::<(), mfdfp_dfp::DfpError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DfpFormat {
     bits: u8,
     frac: i8,

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DfpError, Result};
 
 /// Most negative representable exponent (paper: bounded by 8-bit inputs).
@@ -18,7 +16,7 @@ pub const EXP_MIN: i8 = -7;
 pub const EXP_MAX: i8 = 0;
 
 /// The sign of a power-of-two weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sign {
     /// Weight is `+2^e`.
     Plus,
@@ -58,7 +56,7 @@ impl Sign {
 /// assert_eq!(Pow2Weight::decode4(code)?, w); // 4-bit round trip
 /// # Ok::<(), mfdfp_dfp::DfpError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pow2Weight {
     sign: Sign,
     exp: i8,

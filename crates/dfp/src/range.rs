@@ -1,8 +1,6 @@
 //! Ristretto-style range analysis: choosing per-layer fractional lengths
 //! from observed activation statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::format::DfpFormat;
 
 /// Running range statistics over a stream of real values.
@@ -23,7 +21,7 @@ use crate::format::DfpFormat;
 /// assert!(fmt.max_value() >= 2.4);          // covers the range
 /// assert!(fmt.max_value() < 2.0 * 2.4 + 1.0); // without wasting bits
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeStats {
     max_abs: f32,
     count: u64,

@@ -2,8 +2,8 @@
 //! "JSON trace" format): one complete (`"ph":"X"`) event per recorded
 //! span, timestamps in microseconds with nanosecond fractions.
 //!
-//! Rendered with the crate's [`json`](crate::json) writer — the vendored
-//! `serde` shim does not serialize. The output loads directly in
+//! Rendered with the crate's [`json`](crate::json) writer — the
+//! workspace has no serialization dependency. The output loads directly in
 //! <https://ui.perfetto.dev> (or `chrome://tracing`): one track per
 //! recorded thread, span labels as slice names, the `u64` argument under
 //! `args.arg`.

@@ -78,10 +78,10 @@
 //!
 //! Failure paths are provable: the [`fault`] module compiles
 //! deterministic injection points (queue-full, worker panic, slow
-//! batch, registry-read dwell, worker hang, worker death) into test
-//! builds — and to inline no-ops in production builds — so the chaos
-//! and fault harnesses in `tests/` can drive every degradation and
-//! self-healing path on demand.
+//! batch, registry-read dwell, worker hang, worker death) into every
+//! build, disarmed until a test arms them, so the chaos and fault
+//! harnesses in `tests/` can drive every degradation and self-healing
+//! path on demand.
 //!
 //! Batching changes *when* images are evaluated, never *what* they
 //! evaluate to: responses are byte-identical to direct `logits` calls

@@ -268,13 +268,12 @@ fn shed_expired(batch: Vec<Request>) -> Vec<Request> {
 /// within each group. Grouping keys on the resolved model's allocation
 /// identity (not its name, so a name re-registered or hot-swapped
 /// mid-queue never mixes two different networks — or two versions of one
-/// network — into one batch) *and* the image element count, so two
-/// same-length-checked but differently-sized inputs — possible when a
-/// model exposes no `input_len` — can never misalign one batch.
+/// network — into one batch). Admission refuses any image whose length
+/// is not the model's `input_len`, so one identity means one length.
 fn partition_by_model(batch: Vec<Request>) -> Vec<Vec<Request>> {
-    let mut groups: Vec<((usize, usize), Vec<Request>)> = Vec::new();
+    let mut groups: Vec<(usize, Vec<Request>)> = Vec::new();
     for request in batch {
-        let key = (request.model.identity(), request.image.len());
+        let key = request.model.identity();
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, group)) => group.push(request),
             None => groups.push((key, vec![request])),

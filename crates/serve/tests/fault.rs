@@ -1,15 +1,11 @@
 //! Fault-injection harness: deterministic failures injected through the
-//! compile-time-gated hooks in [`mfdfp_serve::fault`], asserting the
-//! serving tier degrades *gracefully* — typed errors, exact accounting,
-//! surviving workers — rather than hanging, poisoning a lock, or tearing
-//! a response.
+//! hooks in [`mfdfp_serve::fault`], asserting the serving tier degrades
+//! *gracefully* — typed errors, exact accounting, surviving workers —
+//! rather than hanging, poisoning a lock, or tearing a response.
 //!
-//! Needs the `fault` feature, which the workspace root turns on for every
-//! test build, so a plain `cargo test` runs it. The fault counters are
-//! process-global, so every test serialises on one mutex and re-arms from
-//! a clean slate.
-
-#![cfg(feature = "fault")]
+//! The hooks are in every build, so a plain `cargo test` runs it. The
+//! fault counters are process-global, so every test serialises on one
+//! mutex and re-arms from a clean slate.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;

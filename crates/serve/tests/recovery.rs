@@ -8,12 +8,9 @@
 //! `completed + failed + shed + shutdown_rejected == submitted` stays
 //! exact through all of it.
 //!
-//! Needs the `fault` feature, which the workspace root turns on for every
-//! test build, so a plain `cargo test` runs it. Fault counters are
-//! process-global, so every test serialises on one mutex and re-arms from
-//! a clean slate.
-
-#![cfg(feature = "fault")]
+//! The hooks are in every build, so a plain `cargo test` runs it. Fault
+//! counters are process-global, so every test serialises on one mutex
+//! and re-arms from a clean slate.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};

@@ -1,7 +1,5 @@
 //! 2-D convolution via im2col/col2im plus the GEMM kernel.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, TensorError};
 use crate::ops::matmul::{gemm, gemm_serial, Transpose};
 use crate::{Shape, Tensor};
@@ -23,7 +21,7 @@ use crate::{Shape, Tensor};
 /// assert_eq!(g.macs(), 32 * 32 * 32 * 5 * 5 * 3);
 /// # Ok::<(), mfdfp_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvGeometry {
     /// Input channels.
     pub in_c: usize,
@@ -52,7 +50,8 @@ impl ConvGeometry {
     /// # Errors
     ///
     /// Returns [`TensorError::BadGeometry`] if any extent is zero, the
-    /// stride is zero, or the padded input is smaller than the kernel.
+    /// stride is zero, the padded input is smaller than the kernel, or
+    /// the input, output or im2col element count overflows `usize`.
     pub fn new(
         in_c: usize,
         in_h: usize,
@@ -68,14 +67,30 @@ impl ConvGeometry {
         if stride == 0 {
             return Err(TensorError::BadGeometry("stride must be positive".into()));
         }
-        if in_h + 2 * pad < kernel || in_w + 2 * pad < kernel {
+        let padded = |side: usize| pad.checked_mul(2).and_then(|p| p.checked_add(side));
+        let (Some(padded_h), Some(padded_w)) = (padded(in_h), padded(in_w)) else {
+            return Err(TensorError::BadGeometry("padded input extent overflows".into()));
+        };
+        if padded_h < kernel || padded_w < kernel {
             return Err(TensorError::BadGeometry(format!(
-                "kernel {kernel} larger than padded input {}x{}",
-                in_h + 2 * pad,
-                in_w + 2 * pad
+                "kernel {kernel} larger than padded input {padded_h}x{padded_w}"
             )));
         }
-        Ok(ConvGeometry { in_c, in_h, in_w, out_c, kernel, stride, pad, groups: 1 })
+        let g = ConvGeometry { in_c, in_h, in_w, out_c, kernel, stride, pad, groups: 1 };
+        // Grouping only shrinks `col_height`, so these bounds hold for
+        // every `with_groups` result too.
+        let (oh, ow) = (g.out_h(), g.out_w());
+        let counts: [&[usize]; 3] =
+            [&[in_c, in_h, in_w], &[out_c, oh, ow], &[in_c, kernel, kernel, oh, ow]];
+        if counts
+            .iter()
+            .any(|dims| dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)).is_none())
+        {
+            return Err(TensorError::BadGeometry(format!(
+                "{in_c}x{in_h}x{in_w} input with kernel {kernel} overflows an element count"
+            )));
+        }
+        Ok(g)
     }
 
     /// Returns this geometry with `groups` channel groups.
@@ -730,9 +745,23 @@ mod tests {
     #[test]
     fn batched_im2col_rejects_overflowing_extents() {
         // in_h · in_w = 2^64 wraps to 0 in release arithmetic, which
-        // matched the empty buffers and returned Ok.
+        // matched the empty buffers and returned Ok. `new` refuses the
+        // geometry; the kernel must too, for one built field by field.
         let side = 1usize << (usize::BITS / 2);
-        let g = ConvGeometry::new(1, side, side, 1, 1, 1, 0).unwrap();
+        assert!(matches!(
+            ConvGeometry::new(1, side, side, 1, 1, 1, 0),
+            Err(TensorError::BadGeometry(_))
+        ));
+        let g = ConvGeometry {
+            in_c: 1,
+            in_h: side,
+            in_w: side,
+            out_c: 1,
+            kernel: 1,
+            stride: 1,
+            pad: 0,
+            groups: 1,
+        };
         assert!(matches!(
             im2col_batched_i8(&[], &g, 0, 1, &mut []),
             Err(TensorError::BadGeometry(_))

@@ -1,12 +1,10 @@
 //! Max and average pooling with exact backward passes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, TensorError};
 use crate::{Shape, Tensor};
 
 /// Pooling flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Maximum over the window; backward routes gradient to the argmax.
     Max,
@@ -19,7 +17,7 @@ pub enum PoolKind {
 /// Pooling uses *ceiling* output sizing (Caffe convention), so windows may
 /// overhang the input's bottom/right edge; overhanging taps are skipped for
 /// `Max` and excluded from the divisor for `Avg`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolGeometry {
     /// Channels (pooling is per-channel).
     pub channels: usize,

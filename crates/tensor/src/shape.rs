@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The dimensions of a dense, row-major tensor.
 ///
 /// A `Shape` is an ordered list of dimension sizes. The rightmost dimension
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.len(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

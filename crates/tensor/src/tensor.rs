@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, TensorError};
 use crate::Shape;
 
@@ -25,7 +23,7 @@ use crate::Shape;
 /// assert_eq!(t.sum(), 10.0);
 /// # Ok::<(), mfdfp_tensor::TensorError>(())
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
