@@ -117,7 +117,7 @@ fn bad(msg: impl Into<String>) -> CoreError {
 fn section_crc(img: &[u8], crc_off: usize) -> u32 {
     let mut h = Crc32::new();
     h.update(&img[..crc_off]);
-    h.update_zeros(4);
+    h.update(&[0u8; 4]);
     h.update(&img[crc_off + 4..]);
     h.finish()
 }
@@ -650,7 +650,8 @@ impl QuantizedNet {
 // ---------------------------------------------------------------------------
 
 /// Builds a multi-model zoo image: a directory of named model sections,
-/// each a complete v2 model image at a 64-byte-aligned offset.
+/// each a complete v2 model image at a 64-byte-aligned offset. Names
+/// must be distinct: [`ZooView::open`] refuses a zoo that repeats one.
 ///
 /// # Examples
 ///
@@ -759,7 +760,8 @@ impl ZooView {
     /// # Errors
     ///
     /// [`CoreError::BadImage`] on wrong magic/version, truncation, or a
-    /// directory entry that is out of bounds, misaligned or not UTF-8.
+    /// directory entry that is out of bounds, misaligned, not UTF-8 or
+    /// names a model an earlier entry already names.
     pub fn open(buf: Arc<AlignedBytes>) -> Result<ZooView> {
         let len = buf.len();
         if len < HEADER_LEN {
@@ -793,6 +795,11 @@ impl ZooView {
             let name = std::str::from_utf8(&img[name_off..name_off + name_len])
                 .map_err(|_| bad(format!("model {i}: name is not UTF-8")))?
                 .to_string();
+            // A name means one model: `find` and a registry load must
+            // not pick different entries.
+            if entries.iter().any(|(n, _, _)| *n == name) {
+                return Err(bad(format!("model {i}: name {name:?} is already in the zoo")));
+            }
             check_aligned(u64_at(e, 8), "model section")?;
             let (off, mlen) = check_range(len, u64_at(e, 8), u64_at(e, 16), "model section")?;
             entries.push((name, off, mlen));

@@ -115,6 +115,21 @@ fn misaligned_zoo_section_is_rejected() {
 }
 
 #[test]
+fn repeated_zoo_model_name_is_rejected() {
+    // A correctly stamped zoo (the CRC verifies) whose directory names
+    // "m" twice: `find("m")` and a registry load would otherwise serve
+    // different models under the one name.
+    let mut builder = ZooBuilder::new();
+    builder.push("m", &tiny_qnet(3)).push("m", &tiny_qnet(4));
+    let zoo = Arc::new(builder.finish());
+    match mfdfp_core::ZooView::open(zoo) {
+        Err(CoreError::BadImage(msg)) => assert!(msg.contains("\"m\""), "{msg}"),
+        Err(e) => panic!("wrong error kind: {e}"),
+        Ok(_) => panic!("a zoo naming \"m\" twice was accepted"),
+    }
+}
+
+#[test]
 fn open_at_rejects_unaligned_base() {
     let image = to_image(&tiny_qnet(3));
     let buf = Arc::new(AlignedBytes::from_slice(image.as_slice()));

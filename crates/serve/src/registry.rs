@@ -196,9 +196,9 @@ impl ModelRegistry {
         let map = self.models.read().expect("registry poisoned");
         let entry =
             map.get(name).cloned().ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-        // Fault injection (test builds only): widen the window in which a
-        // reader holds the shared lock, so the mid-swap interleaving is
-        // reliably exercised.
+        // Fault injection (compiled into every build, a no-op until a test
+        // arms it): widen the window in which a reader holds the shared
+        // lock, so the mid-swap interleaving is reliably exercised.
         crate::fault::on_registry_read();
         drop(map);
         Ok((entry.model, entry.version))

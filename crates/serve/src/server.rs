@@ -273,8 +273,9 @@ impl Server {
             tx,
         };
         let shard = &self.shards[Self::route(model, self.shards.len())];
-        // Fault injection (test builds only): pretend the shard queue is
-        // at capacity to exercise the backpressure path deterministically.
+        // Fault injection (compiled into every build, a no-op until a test
+        // arms it): pretend the shard queue is at capacity to exercise the
+        // backpressure path deterministically.
         let pushed = if fault::take_queue_full() {
             Err((request, PushRejection::Full))
         } else {

@@ -97,3 +97,13 @@ fn corrupt_zoo_registers_nothing() {
     assert!(registry.load_zoo_bytes(&bytes).is_err());
     assert!(registry.is_empty());
 }
+
+#[test]
+fn zoo_with_a_repeated_name_registers_nothing() {
+    let mut builder = ZooBuilder::new();
+    builder.push("m", &tiny_qnet(5)).push("m", &tiny_qnet(6));
+    let image = Arc::new(builder.finish());
+    let registry = ModelRegistry::new();
+    assert!(registry.load_zoo(image).is_err());
+    assert!(registry.is_empty());
+}
