@@ -13,9 +13,9 @@
 //!
 //! Scope of the contract, as documented in ARCHITECTURE.md:
 //!
-//! * the single-image forward (`forward_codes_with`) and the serial
-//!   batched-logits entry (`logits_batch_into`) are strictly
-//!   allocation-free once warm — asserted here at zero;
+//! * the packed forward (`logits_batch_into`), at batch 1 and fused,
+//!   over owned and image-backed weights, is strictly allocation-free
+//!   once warm — asserted here at zero;
 //! * the serving dispatch *compute* (batch staging + inference, what
 //!   `dispatch_group` runs between popping a batch and materialising
 //!   responses) is allocation-free once warm — asserted here at zero;
@@ -165,29 +165,14 @@ fn warm_qgemm_i8_kernel_is_allocation_free() {
 }
 
 #[test]
-fn warm_forward_codes_with_is_allocation_free() {
-    let (qnet, batch) = quantized_net(21);
-    let img = batch.index_axis0(0);
-    let mut ws = qnet.plan().workspace();
-    // The planned workspace is already at its peaks; the warm-up pass
-    // only takes one-time state (the thread's span ring)
-    // out of the measured loop.
-    qnet.forward_codes_with(&img, &mut ws).unwrap();
-    let (allocs, ()) = allocations(|| {
-        for _ in 0..10 {
-            let codes = qnet.forward_codes_with(black_box(&img), &mut ws).unwrap();
-            black_box(codes);
-        }
-    });
-    assert_eq!(allocs, 0, "warmed forward_codes_with must not touch the heap");
-}
-
-#[test]
 fn warm_logits_batch_into_is_allocation_free() {
     let (qnet, batch) = quantized_net(22);
     let img = batch.index_axis0(0);
-    let mut ws = qnet.plan().workspace();
+    let mut ws = qnet.plan_for_batch(1).workspace();
     let mut out = vec![0.0f32; qnet.classes()];
+    // The planned workspace is already at its peaks; the warm-up pass
+    // only takes one-time state (the thread's span ring) out of the
+    // measured loop.
     qnet.logits_batch_into(img.as_slice(), 1, &mut ws, &mut out).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
@@ -283,17 +268,17 @@ fn warm_serve_dispatch_compute_is_allocation_free() {
     let classes = model.classes();
     // The worker's persistent scratch, as in serve's `WorkerScratch`:
     // batch staging + logits block + an owned inference workspace.
-    let mut ws = model.plan().workspace();
+    let mut ws = model.plan_for_batch(1).workspace();
     let mut data: Vec<f32> = Vec::with_capacity(img.len());
     let mut logits = vec![0.0f32; classes];
     // Warm-up request.
     data.extend_from_slice(img.as_slice());
-    model.logits_batch_into(&data, 1, &mut ws, &mut logits, model.members()).unwrap();
+    model.logits_batch_into(&data, 1, &mut ws, &mut logits, model.len()).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
             data.clear();
             data.extend_from_slice(black_box(img.as_slice()));
-            model.logits_batch_into(&data, 1, &mut ws, &mut logits, model.members()).unwrap();
+            model.logits_batch_into(&data, 1, &mut ws, &mut logits, model.len()).unwrap();
             black_box(&logits);
         }
     });
@@ -335,12 +320,13 @@ fn from_image_is_zero_copy_and_o_layers() {
         mfdfp_core::ImageView::open(std::sync::Arc::new(mfdfp_core::to_image(&qnet))).unwrap();
     let served = mfdfp_core::QuantizedNet::from_image(&view).unwrap();
     let img = batch.index_axis0(0);
-    let mut ws = served.plan().workspace();
-    served.forward_codes_with(&img, &mut ws).unwrap();
+    let mut ws = served.plan_for_batch(1).workspace();
+    let mut out = vec![0.0f32; served.classes()];
+    served.logits_batch_into(img.as_slice(), 1, &mut ws, &mut out).unwrap();
     let (allocs, ()) = allocations(|| {
         for _ in 0..10 {
-            let codes = served.forward_codes_with(black_box(&img), &mut ws).unwrap();
-            black_box(codes);
+            served.logits_batch_into(black_box(img.as_slice()), 1, &mut ws, &mut out).unwrap();
+            black_box(&out);
         }
     });
     assert_eq!(allocs, 0, "warmed forward over an image-backed net must not touch the heap");
@@ -391,19 +377,20 @@ fn warm_spans_and_counters_allocate_nothing() {
 
 #[test]
 fn planned_workspace_first_pass_allocates_only_thread_lanes() {
-    // The plan() claim: with a pre-sized workspace, the only first-pass
-    // allocations left are thread-resident, not per-model (the result
-    // vec, the span ring). A generous bound keeps this
+    // The plan_for_batch() claim: with a pre-sized workspace, the only
+    // first-pass allocations left are thread-resident, not per-model (the
+    // span ring). A generous bound keeps this
     // robust while still catching any per-layer allocation creeping back in:
     // the seed net runs 3 convs + 2 linears + pools, so a regression to
     // per-call buffers would cost dozens of allocations.
     let (qnet, batch) = quantized_net(24);
     let img = batch.index_axis0(0);
-    let mut ws = qnet.plan().workspace();
-    let (allocs, _) =
-        allocations(|| qnet.forward_codes_with(&img, &mut ws).map(<[i8]>::to_vec).unwrap());
+    let mut ws = qnet.plan_for_batch(1).workspace();
+    let mut out = vec![0.0f32; qnet.classes()];
+    let (allocs, ()) =
+        allocations(|| qnet.logits_batch_into(img.as_slice(), 1, &mut ws, &mut out).unwrap());
     assert!(
         allocs <= 6,
-        "planned first pass should allocate at most thread-resident state + result vec, saw {allocs}"
+        "planned first pass should allocate at most thread-resident state, saw {allocs}"
     );
 }

@@ -7,6 +7,8 @@
 //! with the member count — the trade the paper's Table 2 ensemble rows
 //! quantify.
 
+use std::sync::Arc;
+
 use mfdfp_nn::Accuracy;
 use mfdfp_tensor::{Shape, Tensor, Workspace, WorkspacePlan};
 
@@ -40,7 +42,9 @@ impl Ensemble {
         Ok(Ensemble { members })
     }
 
-    /// Number of member networks (the paper deploys M = 2).
+    /// Number of member networks (the paper deploys M = 2) — the upper
+    /// bound of the `members` prefix [`Ensemble::logits_batch_into`]
+    /// serves.
     pub fn len(&self) -> usize {
         self.members.len()
     }
@@ -60,35 +64,21 @@ impl Ensemble {
         self.members[0].classes()
     }
 
-    /// Peak workspace sizes across every member (element-wise max), plus
-    /// an `f32` lane for single-image member-logit staging — grow-only
-    /// buffers absorb larger batches on first use. One workspace sized
-    /// from this plan serves any member and the averaging loop.
-    pub fn plan(&self) -> WorkspacePlan {
-        let merged = self
-            .members
-            .iter()
-            .map(QuantizedNet::plan)
-            .fold(WorkspacePlan::default(), |a, b| a.merge(b));
-        merged.merge(WorkspacePlan { f32_len: self.classes(), ..Default::default() })
+    /// Number of activation codes one input image must supply (every
+    /// member takes the same; [`Ensemble::new`] checks it).
+    pub fn input_len(&self) -> usize {
+        self.members[0].input_len()
     }
 
-    /// [`Ensemble::plan`] extended with the fused-batch dimension: member
-    /// plans take their batched shape ([`QuantizedNet::plan_for_batch`])
-    /// and the `f32` member-logit staging lane is sized for
-    /// `max_batch × classes` up front, so a workspace built from this
-    /// plan runs batched ensemble inference allocation-free for any batch
-    /// up to `max_batch`.
+    /// Peak workspace sizes for fused batches of up to `max_batch`
+    /// images: the member plans merged (element-wise max), plus an `f32`
+    /// lane for one image's member logits, all scaled by the batch
+    /// ([`QuantizedNet::plan_for_batch`]). One workspace built from this
+    /// plan runs [`Ensemble::logits_batch_into`] allocation-free for any
+    /// batch up to `max_batch` and any member prefix.
     pub fn plan_for_batch(&self, max_batch: usize) -> WorkspacePlan {
-        let merged = self
-            .members
-            .iter()
-            .map(|m| m.plan_for_batch(max_batch))
-            .fold(WorkspacePlan::default(), |a, b| a.merge(b));
-        merged.merge(WorkspacePlan {
-            f32_len: self.classes() * max_batch.max(1),
-            ..Default::default()
-        })
+        let logits = WorkspacePlan { f32_len: self.classes(), ..Default::default() };
+        self.members.iter().map(|m| m.plan_for_batch(max_batch)).fold(logits, WorkspacePlan::merge)
     }
 
     /// Averaged dequantized logits for a `N×C×H×W` batch.
@@ -177,6 +167,17 @@ impl Ensemble {
     }
 }
 
+/// A single network served as the ensemble of one — the paper's `M = 1`.
+/// Its logits are bit-identical to the network's own
+/// ([`QuantizedNet::logits_batch_into`]): the one-member average is
+/// `(0 + z) · 1`, and the datapath never produces a `-0.0` logit that the
+/// `0 +` could flip.
+impl From<QuantizedNet> for Arc<Ensemble> {
+    fn from(net: QuantizedNet) -> Self {
+        Arc::new(Ensemble { members: vec![net] })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,8 +241,8 @@ mod tests {
         let mut rng = TensorRng::seed_from(11);
         let x = rng.gaussian([3, 2, 16, 16], 0.0, 0.7);
         let expect = e.logits_batch(&x).unwrap();
-        let plan = e.plan();
-        assert!(plan.f32_len >= e.classes());
+        let plan = e.plan_for_batch(3);
+        assert_eq!((plan.f32_len, plan.batch()), (e.classes(), 3));
         let mut ws = plan.workspace();
         let mut out = vec![0.0f32; 3 * e.classes()];
         e.logits_batch_into(x.as_slice(), 3, &mut ws, &mut out, e.len()).unwrap();

@@ -9,10 +9,13 @@
 //! accelerator bit-for-bit.
 //!
 //! Weights stay in their packed 4-bit nibble form from construction to
-//! inference: [`QuantizedNet::forward_codes`] dispatches the shift-only
-//! packed `qgemm` kernel, while [`QuantizedNet::forward_codes_reference`]
-//! keeps the original decode-based adder-tree datapath as the
-//! bit-exactness oracle (the two are property-tested identical).
+//! inference. There is one packed forward,
+//! [`QuantizedNet::logits_batch_into`], which dispatches the shift-only
+//! packed `qgemm` kernel; [`QuantizedNet::logits`] and
+//! [`QuantizedNet::logits_batch`] are adapters over it.
+//! [`QuantizedNet::forward_codes_reference`] keeps the original
+//! decode-based adder-tree datapath as the bit-exactness oracle (the two
+//! are property-tested identical, logit bit for dequantized code).
 //!
 //! Loading walks the layer list once (in `from_parts`, which
 //! [`QuantizedNet::from_network`] and [`QuantizedNet::from_image`] both
@@ -31,13 +34,11 @@
 //! Like the hardware it models, the packed forward path has **no dynamic
 //! memory**: activations ping-pong between two pre-sized buffers of a
 //! [`Workspace`] and the im2col staging is drawn from the same arena.
-//! [`QuantizedNet::plan`] holds every peak buffer size, recorded at load
-//! from the layer geometry, so a workspace is sized once per model and
-//! [`QuantizedNet::forward_codes_with`] then runs arbitrarily many
-//! inferences with zero heap allocations. There is one packed layer loop
-//! — the batch-fused one ([`QuantizedNet::logits_batch_into`]); the
-//! single-image entries are that loop at batch 1, and the allocating
-//! entries build a workspace from the plan for each call.
+//! [`QuantizedNet::plan_for_batch`] holds every peak buffer size,
+//! recorded at load from the layer geometry, so a workspace is sized once
+//! per model and [`QuantizedNet::logits_batch_into`] then runs
+//! arbitrarily many inferences with zero heap allocations. The adapters
+//! build a workspace from the plan for each call.
 
 use mfdfp_accel::qlayers::{
     avg_pool_codes, avg_pool_codes_batch_into, max_pool_codes, max_pool_codes_batch_into,
@@ -210,7 +211,10 @@ impl QuantizedNet {
     /// can run the stack: 8-bit input and output formats, each layer
     /// fitting the activation length that reaches it (a weighted layer's
     /// own shape check, a pool's `C×H×W` and output size), the last
-    /// producing `classes` values. The same walk records each step's
+    /// producing `classes` values, and the radix points chaining the same
+    /// way — each weighted layer reading the one that reaches it (the
+    /// input format's, or the last weighted layer's output), the output
+    /// format carrying the last one written. The same walk records each step's
     /// output length, the input length and the workspace plan, and
     /// lowers the list into the forward's steps, folding ReLUs into the
     /// routing rail (see the [module docs](self)).
@@ -261,6 +265,8 @@ impl QuantizedNet {
             return Err(CoreError::BadImage("the layer stack takes no input values".into()));
         }
         let mut len = input_len;
+        // The radix point the activations reaching the next layer carry.
+        let mut frac = input_format.frac();
         let mut plan = WorkspacePlan { act_len: len, ..WorkspacePlan::default() };
         let mut steps: Vec<Step> = Vec::with_capacity(layers.len());
         // The step whose rail a ReLU here would set: the weighted layer
@@ -272,12 +278,14 @@ impl QuantizedNet {
             len = match layer {
                 QLayer::Conv(c) => {
                     c.validate(len).map_err(|e| bad(&e))?;
+                    frac = chain_frac(frac, c.in_frac, c.out_frac).map_err(|e| bad(&e))?;
                     plan.im2col_len = plan.im2col_len.max(c.im2col_len());
                     fold_into = Some(steps.len());
                     c.out_len()
                 }
                 QLayer::Linear(l) => {
                     l.validate(len).map_err(|e| bad(&e))?;
+                    frac = chain_frac(frac, l.in_frac, l.out_frac).map_err(|e| bad(&e))?;
                     fold_into = Some(steps.len());
                     l.out_features
                 }
@@ -309,6 +317,11 @@ impl QuantizedNet {
         if len != classes {
             return Err(CoreError::BadImage(format!(
                 "layer stack produces {len} logits, header declares {classes} classes"
+            )));
+        }
+        if frac != output_format.frac() {
+            return Err(CoreError::BadImage(format!(
+                "layer stack writes radix point {frac}, the output format is {output_format}"
             )));
         }
         Ok(QuantizedNet {
@@ -358,68 +371,27 @@ impl QuantizedNet {
         self.input_len
     }
 
-    /// Peak scratch sizes of the packed forward path, recorded at load
-    /// from the layer geometry — the software analogue of sizing the
-    /// hardware's activation buffers at synthesis time. Feed the plan to
-    /// [`Workspace::with_plan`] (or call
-    /// [`WorkspacePlan::workspace`]) and even the *first*
-    /// [`QuantizedNet::forward_codes_with`] pass allocates nothing.
-    pub fn plan(&self) -> WorkspacePlan {
-        self.plan
-    }
-
-    /// [`QuantizedNet::plan`] extended with the fused-batch dimension:
-    /// a workspace built from this plan runs the batch-fused forward
-    /// ([`QuantizedNet::logits_batch_into`]) allocation-free for any
-    /// batch up to `max_batch` — the activation ping-pong pair and the
-    /// im2col staging each scale by the batch, the `f32` staging does
-    /// not. This is what the serving worker sizes its per-thread scratch
-    /// with (`max_batch` = the batcher's coalescing limit).
+    /// Peak scratch sizes of the packed forward for fused batches of up
+    /// to `max_batch` images, recorded at load from the layer geometry —
+    /// the software analogue of sizing the hardware's activation buffers
+    /// at synthesis time. The lanes are per-image peaks that
+    /// [`Workspace::reserve`] scales by the batch, so a workspace built
+    /// from this plan ([`WorkspacePlan::workspace`]) runs
+    /// [`QuantizedNet::logits_batch_into`] allocation-free for any batch
+    /// up to `max_batch`, even on its first pass. This is what the
+    /// serving worker sizes its scratch with (`max_batch` = the batcher's
+    /// coalescing limit).
     pub fn plan_for_batch(&self, max_batch: usize) -> WorkspacePlan {
-        self.plan().for_batch(max_batch)
-    }
-
-    /// Runs integer-only inference on one `C×H×W` float image: quantizes
-    /// the input to codes, then shifts/adds all the way to logit codes.
-    ///
-    /// Thin wrapper over [`QuantizedNet::forward_codes_with`] with a
-    /// workspace built from [`QuantizedNet::plan`] for this call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath faults (overflow audits, input-length
-    /// mismatches).
-    pub fn forward_codes(&self, image: &Tensor) -> Result<Vec<i8>> {
-        Ok(self.forward_codes_with(image, &mut self.plan.workspace())?.to_vec())
-    }
-
-    /// The allocation-free forward: runs the packed shift-only datapath
-    /// — the batch-fused layer loop at batch 1, where the interleaved
-    /// layout is byte-for-byte the plain `C×H×W` one — entirely inside
-    /// `ws`, returning a view of the logit codes (valid until the
-    /// workspace's next use). With a workspace warmed for this
-    /// network — one prior call, or [`QuantizedNet::plan`] up front —
-    /// this performs **zero heap allocations**, matching the fixed-buffer
-    /// Figure 2(a) datapath buffer-for-buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath faults (overflow audits, input-length
-    /// mismatches).
-    pub fn forward_codes_with<'w>(
-        &self,
-        image: &Tensor,
-        ws: &'w mut Workspace,
-    ) -> Result<&'w [i8]> {
-        let len = self.forward_packed_batch(image.as_slice(), 1, ws)?;
-        Ok(ws.codes(len))
+        self.plan.for_batch(max_batch)
     }
 
     /// Runs the same inference through the **decode-based** Figure 2(a)
     /// datapath — per-element `Pow2Weight` decode and `mul_shift`, the
     /// widening adder tree with per-level overflow audits, the 32-bit
     /// accumulator — instead of the packed shift-only `qgemm` kernel that
-    /// [`QuantizedNet::forward_codes`] dispatches.
+    /// [`QuantizedNet::logits_batch_into`] dispatches. Returns the logit
+    /// codes; [`QuantizedNet::output_format`] dequantizes them to the
+    /// packed forward's logits.
     ///
     /// Slower by design. Kept as the bit-exactness oracle the packed hot
     /// path is property-tested against (`crates/core/tests/properties.rs`,
@@ -459,46 +431,81 @@ impl QuantizedNet {
         Ok(codes)
     }
 
-    /// Integer-only inference over an `N×C×H×W` batch: one `Vec` of logit
-    /// codes per image, bit-identical to calling
-    /// [`QuantizedNet::forward_codes`] image by image.
-    ///
-    /// Runs the whole batch as **one** im2col gather and **one** packed
-    /// shift-MAC pass per layer (per group) — see
-    /// [`QuantizedNet::logits_batch_into`] for the fusion contract.
+    /// Dequantized logits for one image: [`QuantizedNet::logits_batch_into`]
+    /// at batch 1, with a workspace built for this call.
     ///
     /// # Errors
     ///
-    /// Propagates datapath faults.
-    pub fn forward_codes_batch(&self, batch: &Tensor) -> Result<Vec<Vec<i8>>> {
-        let n = batch.shape().dim(0);
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let mut ws = self.plan_for_batch(n).workspace();
-        let len = self.forward_packed_batch(batch.as_slice(), n, &mut ws)?;
-        let codes = ws.codes(len * n);
-        Ok((0..n).map(|b| (0..len).map(|e| codes[e * n + b]).collect()).collect())
+    /// As [`QuantizedNet::logits_batch_into`].
+    pub fn logits(&self, image: &Tensor) -> Result<Tensor> {
+        let mut out = Tensor::zeros(Shape::d1(self.classes));
+        let mut ws = self.plan_for_batch(1).workspace();
+        self.logits_batch_into(image.as_slice(), 1, &mut ws, out.as_mut_slice())?;
+        Ok(out)
     }
 
-    /// The batch-fused packed forward: quantizes all `n` images into one
-    /// element-interleaved activation buffer (element `e` of image `b` at
-    /// `e·n + b`), then runs the layer loop **once**, each conv/linear
-    /// layer fusing the whole batch into a single column matrix and a
-    /// single shift-MAC kernel call per group
-    /// (`ShiftConv::run_batch_into` / `ShiftLinear::run_batch_into`).
-    /// Returns the per-image logit-code count; the `len·n` interleaved
-    /// codes sit in the workspace's front buffer ([`Workspace::codes`]).
-    /// `data` must hold exactly `n ≥ 1` images of
-    /// [`QuantizedNet::input_len`] values; every buffer size after that
-    /// check is the one load recorded for its step.
+    /// Dequantized logits for a `N×C×H×W` batch (`N×classes`):
+    /// [`QuantizedNet::logits_batch_into`] with a workspace built for
+    /// this call.
     ///
-    /// Activations ping-pong between the workspace's two pre-sized
-    /// buffers and convolutions stage their `i8` im2col columns in the
-    /// same arena — no allocation anywhere once the workspace is warm.
-    /// Row-banded parallelism sees the whole layer-batch product, so a
-    /// pool of width ≥ 2 splits per-layer work.
-    fn forward_packed_batch(&self, data: &[f32], n: usize, ws: &mut Workspace) -> Result<usize> {
+    /// # Errors
+    ///
+    /// As [`QuantizedNet::logits_batch_into`].
+    pub fn logits_batch(&self, batch: &Tensor) -> Result<Tensor> {
+        let n = batch.shape().dim(0);
+        let mut out = Tensor::zeros(Shape::d2(n, self.classes));
+        let mut ws = self.plan_for_batch(n).workspace();
+        self.logits_batch_into(batch.as_slice(), n, &mut ws, out.as_mut_slice())?;
+        Ok(out)
+    }
+
+    /// The packed forward — every other inference entry is built on it:
+    /// `data` is `n` images flat (`n × input_len` elements), `out`
+    /// receives the `n × classes` dequantized logits row-major, and every
+    /// scratch byte comes from `ws`, so a warmed call performs zero heap
+    /// allocations (size the workspace with
+    /// [`QuantizedNet::plan_for_batch`]).
+    ///
+    /// This is the **batch-fused** path: the input quantizer writes all
+    /// `n` images into one element-interleaved activation buffer (element
+    /// `e` of image `b` at `e·n + b`), then the lowered layer loop runs
+    /// **once** — one im2col gather and one packed shift-MAC pass per
+    /// layer per group (`ShiftConv::run_batch_railed_into` /
+    /// `ShiftLinear::run_batch_railed_into`), activations ping-ponging
+    /// between the workspace's two pre-sized buffers. It is bit-identical
+    /// to `n` calls at batch 1 because the kernel's per-output
+    /// accumulation order does not depend on the column count
+    /// ([`mfdfp_tensor::qgemm_fused_into_i8`]); at batch 1 the
+    /// interleaved layout is byte-for-byte the plain `C×H×W` one. On a
+    /// pool of width ≥ 2 (`MFDFP_THREADS`), row-banded parallelism splits
+    /// each layer's fused product across the pool when the whole batch's
+    /// MACs cross the dispatch threshold; the pool dispatch costs
+    /// O(threads) small allocations — the documented exception to the
+    /// zero-allocation steady state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::BadConfig`] if `out` is not `n × classes`,
+    /// [`AccelError::BadInput`] if `data` is not `n` images of
+    /// [`QuantizedNet::input_len`] values, and propagates datapath
+    /// faults.
+    pub fn logits_batch_into(
+        &self,
+        data: &[f32],
+        n: usize,
+        ws: &mut Workspace,
+        out: &mut [f32],
+    ) -> Result<()> {
+        if out.len() != n * self.classes {
+            return Err(CoreError::BadConfig(format!(
+                "logit buffer holds {} values, batch needs {}",
+                out.len(),
+                n * self.classes
+            )));
+        }
+        if n == 0 && data.is_empty() {
+            return Ok(());
+        }
         if data.len() != n * self.input_len {
             return Err(CoreError::Accel(AccelError::BadInput {
                 expected: n * self.input_len,
@@ -506,19 +513,31 @@ impl QuantizedNet {
             }));
         }
         let (mut cur, mut nxt) = ws.take_act();
-        let result = self.forward_packed_batch_layers(data, n, ws, &mut cur, &mut nxt);
+        let result = self.run_steps(data, n, ws, &mut cur, &mut nxt);
         ws.restore_act(cur, nxt);
-        result
+        result?;
+        // Load checked that the last step writes `classes` codes.
+        let codes = ws.codes(self.classes * n);
+        for (b, row) in out.chunks_exact_mut(self.classes).enumerate() {
+            for (c, o) in row.iter_mut().enumerate() {
+                *o = self.output_format.dequantize(codes[c * n + b] as i32);
+            }
+        }
+        Ok(())
     }
 
-    fn forward_packed_batch_layers(
+    /// The lowered layer loop of [`QuantizedNet::logits_batch_into`]:
+    /// quantizes `data` (`n ≥ 1` images of checked length) into `cur`,
+    /// runs every step and leaves the interleaved logit codes in `cur`.
+    /// Every buffer size is the one load recorded for its step.
+    fn run_steps(
         &self,
         data: &[f32],
         n: usize,
         ws: &mut Workspace,
         cur: &mut AlignedVec<i8>,
         nxt: &mut AlignedVec<i8>,
-    ) -> Result<usize> {
+    ) -> Result<()> {
         cur.resize(self.input_len * n, 0);
         let input_format = self.input_format;
         for (b, image) in data.chunks_exact(self.input_len).enumerate() {
@@ -561,85 +580,6 @@ impl QuantizedNet {
             .map_err(CoreError::Accel)?;
             std::mem::swap(cur, nxt);
         }
-        Ok(cur.len() / n)
-    }
-
-    /// Dequantized logits for one image.
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath faults.
-    pub fn logits(&self, image: &Tensor) -> Result<Tensor> {
-        let codes = self.forward_codes(image)?;
-        let vals: Vec<f32> =
-            codes.iter().map(|&c| self.output_format.dequantize(c as i32)).collect();
-        Ok(Tensor::from_slice(&vals))
-    }
-
-    /// Dequantized logits for a `N×C×H×W` batch (`N×classes`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath faults.
-    pub fn logits_batch(&self, batch: &Tensor) -> Result<Tensor> {
-        let n = batch.shape().dim(0);
-        let mut out = Tensor::zeros(Shape::d2(n, self.classes));
-        let mut ws = self.plan_for_batch(n).workspace();
-        self.logits_batch_into(batch.as_slice(), n, &mut ws, out.as_mut_slice())?;
-        Ok(out)
-    }
-
-    /// The allocation-free batched-logits entry the serving runtime
-    /// dispatches: `data` is `n` images flat (`n × per_image` elements),
-    /// `out` receives the `n × classes` dequantized logits row-major.
-    /// Identical values to [`QuantizedNet::logits_batch`] — this *is* its
-    /// implementation — but every scratch byte comes from a workspace, so
-    /// a warmed call performs zero heap allocations (size the workspace
-    /// with [`QuantizedNet::plan_for_batch`]).
-    ///
-    /// This is the **batch-fused** path: the whole batch runs as one
-    /// interleaved layer loop — one im2col gather and one packed
-    /// shift-MAC pass per layer per group — bit-identical to `n` calls at
-    /// batch 1 because the kernel's per-output accumulation order does
-    /// not depend on the column count
-    /// ([`mfdfp_tensor::qgemm_fused_into_i8`]). On a pool of width ≥ 2
-    /// (`MFDFP_THREADS`), row-banded parallelism splits each layer's
-    /// fused product across the pool when the whole batch's MACs cross
-    /// the dispatch threshold; the pool dispatch costs O(threads) small
-    /// allocations — the documented exception to the zero-allocation
-    /// steady state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BadConfig`] if `out` is not `n × classes`,
-    /// [`AccelError::BadInput`] if `data` is not `n` images of
-    /// [`QuantizedNet::input_len`] values, and propagates datapath
-    /// faults.
-    pub fn logits_batch_into(
-        &self,
-        data: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-    ) -> Result<()> {
-        if out.len() != n * self.classes {
-            return Err(CoreError::BadConfig(format!(
-                "logit buffer holds {} values, batch needs {}",
-                out.len(),
-                n * self.classes
-            )));
-        }
-        if n == 0 && data.is_empty() {
-            return Ok(());
-        }
-        let len = self.forward_packed_batch(data, n, ws)?;
-        assert_eq!(len, self.classes, "logit count mismatch");
-        let codes = ws.codes(len * n);
-        for (b, row) in out.chunks_exact_mut(self.classes).enumerate() {
-            for (c, o) in row.iter_mut().enumerate() {
-                *o = self.output_format.dequantize(codes[c * n + b] as i32);
-            }
-        }
         Ok(())
     }
 
@@ -662,6 +602,17 @@ impl QuantizedNet {
             }
         }
         weights.div_ceil(2) + biases
+    }
+}
+
+/// The radix point after a weighted layer that reads `in_frac` and writes
+/// `out_frac`, given the `frac` its input carries — an error if the two
+/// disagree.
+fn chain_frac(frac: i8, in_frac: i8, out_frac: i8) -> std::result::Result<i8, String> {
+    if in_frac == frac {
+        Ok(out_frac)
+    } else {
+        Err(format!("reads radix point {in_frac}, its input carries {frac}"))
     }
 }
 
@@ -697,8 +648,7 @@ mod tests {
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         assert_eq!(q.classes(), 10);
         let img = calib[0].0.index_axis0(0);
-        let codes = q.forward_codes(&img).unwrap();
-        assert_eq!(codes.len(), 10);
+        assert_eq!(q.logits(&img).unwrap().len(), 10);
         let logits = q.logits_batch(&calib[0].0).unwrap();
         assert_eq!(logits.shape().dims(), &[4, 10]);
     }
@@ -732,35 +682,24 @@ mod tests {
     #[test]
     fn packed_forward_matches_decode_reference() {
         // The tentpole contract at network scope: the packed shift-only
-        // forward and the decode-based datapath agree code-for-code.
+        // forward and the decode-based datapath agree code-for-code, so
+        // the packed logits are the oracle's codes dequantized, bit for
+        // bit.
         let (net, plan, calib) = setup();
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
+        let fmt = q.output_format();
         for s in 0..calib[0].0.shape().dim(0) {
             let img = calib[0].0.index_axis0(s);
-            assert_eq!(
-                q.forward_codes(&img).unwrap(),
-                q.forward_codes_reference(&img).unwrap(),
-                "sample {s} diverged between packed and decode paths"
-            );
+            let packed: Vec<u32> =
+                q.logits(&img).unwrap().as_slice().iter().map(|v| v.to_bits()).collect();
+            let oracle: Vec<u32> = q
+                .forward_codes_reference(&img)
+                .unwrap()
+                .iter()
+                .map(|&c| fmt.dequantize(c as i32).to_bits())
+                .collect();
+            assert_eq!(packed, oracle, "sample {s} diverged between packed and decode paths");
         }
-    }
-
-    #[test]
-    fn planned_workspace_forward_matches_allocating_forward() {
-        let (net, plan, calib) = setup();
-        let q = QuantizedNet::from_network(&net, &plan).unwrap();
-        let wplan = q.plan();
-        assert_eq!(wplan.act_len, q.input_len().max(wplan.act_len));
-        assert!(wplan.im2col_len > 0, "conv layers must demand im2col staging");
-        let mut ws = wplan.workspace();
-        for s in 0..calib[0].0.shape().dim(0) {
-            let img = calib[0].0.index_axis0(s);
-            let direct = q.forward_codes(&img).unwrap();
-            let via_ws = q.forward_codes_with(&img, &mut ws).unwrap();
-            assert_eq!(via_ws, &direct[..], "sample {s}");
-        }
-        // A planned workspace is warm before the first pass.
-        assert!(ws.is_warm_for(&wplan));
     }
 
     #[test]
@@ -770,7 +709,7 @@ mod tests {
         let batch = &calib[0].0;
         let n = batch.shape().dim(0);
         let expect = q.logits_batch(batch).unwrap();
-        let mut ws = q.plan().workspace();
+        let mut ws = q.plan_for_batch(n).workspace();
         let mut out = vec![0.0f32; n * q.classes()];
         q.logits_batch_into(batch.as_slice(), n, &mut ws, &mut out).unwrap();
         assert_eq!(out, expect.as_slice());

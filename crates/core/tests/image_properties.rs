@@ -201,9 +201,10 @@ fn restamp(bytes: &mut [u8]) {
 }
 
 /// A checksummed image whose layer stack does not chain — a class count
-/// the last layer does not produce, or a pool whose input is not the
-/// previous layer's output — is refused as a typed error at load, never
-/// served into a logit-count panic.
+/// the last layer does not produce, a pool whose input is not the
+/// previous layer's output, or a radix point (header or layer) that is
+/// not the one reaching it — is refused as a typed error at load, never
+/// served into a logit-count panic or non-finite logits.
 #[test]
 fn inconsistent_layer_stack_is_rejected_at_load() {
     let image = to_image(&tiny_qnet(3));
@@ -233,6 +234,45 @@ fn inconsistent_layer_stack_is_rejected_at_load() {
     pool[entry + 12..entry + 16].copy_from_slice(&(channels + 1).to_le_bytes());
     restamp(&mut pool);
     assert!(matches!(load(&pool), Err(CoreError::BadImage(_))));
+
+    // The radix points chain too. Header byte 21 is the input format's
+    // frac, byte 23 the output format's; −128 is outside every range a
+    // layer may hold (it would serve ±inf or all-zero logits), +1 a
+    // plausible value that still breaks the chain.
+    let restamped = |at: usize, frac: i8| {
+        let mut bytes = image.as_slice().to_vec();
+        bytes[at] = frac as u8;
+        restamp(&mut bytes);
+        bytes
+    };
+    let radix_refused = |bytes: &[u8]| match load(bytes) {
+        Err(CoreError::BadImage(msg)) => msg.contains("radix point"),
+        _ => false,
+    };
+    for at in [21, 23] {
+        let frac = image.as_slice()[at] as i8;
+        for bad in [-128, frac + 1] {
+            assert!(radix_refused(&restamped(at, bad)), "header byte {at} = {bad}");
+        }
+    }
+    // A weighted layer entry (kind 0 conv, 1 linear) keeps its in_frac at
+    // +4 and its out_frac at +5, each range-checked to [−32, 32] by
+    // `open`; a step inside that range must still be refused.
+    let weighted: Vec<usize> = (0..n_layers)
+        .map(|i| ltab + 96 * i)
+        .filter(|&e| {
+            image.as_slice()[e..e + 4] == 0u32.to_le_bytes()
+                || image.as_slice()[e..e + 4] == 1u32.to_le_bytes()
+        })
+        .collect();
+    assert!(weighted.len() >= 2, "the test net has several weighted layers");
+    for &entry in &weighted {
+        for at in [entry + 4, entry + 5] {
+            let frac = image.as_slice()[at] as i8;
+            let bad = if frac > 0 { frac - 1 } else { frac + 1 };
+            assert!(radix_refused(&restamped(at, bad)), "layer byte {at} = {bad}");
+        }
+    }
 }
 
 /// A checksummed image whose pool has no defined output — window 0,

@@ -12,6 +12,22 @@ use mfdfp_nn::{Layer, Network, Phase};
 use mfdfp_tensor::{ConvGeometry, PoolGeometry, PoolKind, Shape, Tensor, TensorRng};
 use proptest::prelude::*;
 
+/// The bit patterns of `xs` — logits compare by bits, so a `-0.0` or a
+/// NaN could not hide a divergence.
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The decode oracle's logit codes for one image, dequantized with the
+/// output format: what the packed forward's logits must equal bit for
+/// bit (dequantization is injective on the 256 codes of every format
+/// a model can load).
+fn oracle_bits(q: &QuantizedNet, img: &Tensor) -> Vec<u32> {
+    let fmt = q.output_format();
+    let codes = q.forward_codes_reference(img).unwrap();
+    codes.iter().map(|&c| fmt.dequantize(c as i32).to_bits()).collect()
+}
+
 /// A tiny MLP whose weights come from the proptest strategy.
 fn mlp_with_weights(w1: &[f32], w2: &[f32]) -> Network {
     let mut rng = TensorRng::seed_from(0);
@@ -94,12 +110,12 @@ proptest! {
         let plan = calibrate(&mut net, &[(calib, vec![0, 1, 2, 3])], 8).unwrap();
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         let batch = rng.gaussian([8, 3, 7, 7], 0.0, 0.8);
-        let oracle: Vec<Vec<i8>> = (0..8)
-            .map(|s| q.forward_codes_reference(&batch.index_axis0(s)).unwrap())
-            .collect();
-        prop_assert_eq!(&q.forward_codes_batch(&batch).unwrap(), &oracle);
-        for (s, want) in oracle.iter().enumerate() {
-            prop_assert_eq!(&q.forward_codes(&batch.index_axis0(s)).unwrap(), want, "image {}", s);
+        let fused = q.logits_batch(&batch).unwrap();
+        for s in 0..8 {
+            let img = batch.index_axis0(s);
+            let want = oracle_bits(&q, &img);
+            prop_assert_eq!(bits(fused.index_axis0(s).as_slice()), want.clone(), "fused, image {}", s);
+            prop_assert_eq!(bits(q.logits(&img).unwrap().as_slice()), want, "batch 1, image {}", s);
         }
     }
 
@@ -137,8 +153,8 @@ proptest! {
             .max()
             .unwrap();
         prop_assert_eq!(q.input_len(), x.len());
-        prop_assert_eq!(q.plan().act_len, act_len);
-        prop_assert_eq!(q.plan().im2col_len, im2col_len);
+        prop_assert_eq!(q.plan_for_batch(1).act_len, act_len);
+        prop_assert_eq!(q.plan_for_batch(1).im2col_len, im2col_len);
     }
 }
 
@@ -236,7 +252,10 @@ proptest! {
         let img = Tensor::from_slice(&xs);
         let view = ImageView::open(Arc::new(to_image(&q))).unwrap();
         let back = QuantizedNet::from_image(&view).unwrap();
-        prop_assert_eq!(q.forward_codes(&img).unwrap(), back.forward_codes(&img).unwrap());
+        prop_assert_eq!(
+            bits(q.logits(&img).unwrap().as_slice()),
+            bits(back.logits(&img).unwrap().as_slice())
+        );
     }
 
     /// The batched quantized forward is bit-equivalent to the per-image
@@ -255,17 +274,13 @@ proptest! {
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         let n = xs.len() / 4;
         let batch = Tensor::from_vec(xs[..n * 4].to_vec(), Shape::d2(n, 4)).unwrap();
-        let batched = q.forward_codes_batch(&batch).unwrap();
-        prop_assert_eq!(batched.len(), n);
-        let batched_logits = q.logits_batch(&batch).unwrap();
-        for (s, batched_codes) in batched.iter().enumerate() {
+        let batched = q.logits_batch(&batch).unwrap();
+        prop_assert_eq!(batched.shape().dims(), &[n, q.classes()]);
+        for s in 0..n {
             let img = batch.index_axis0(s);
-            let single = q.forward_codes(&img).unwrap();
-            prop_assert_eq!(batched_codes, &single, "codes diverge at image {}", s);
-            // Dequantized logits must match bit-for-bit as well.
-            let row = batched_logits.index_axis0(s);
-            let direct = q.logits(&img).unwrap();
-            prop_assert_eq!(row.as_slice(), direct.as_slice());
+            let row = bits(batched.index_axis0(s).as_slice());
+            let single = bits(q.logits(&img).unwrap().as_slice());
+            prop_assert_eq!(row, single, "logits diverge at image {}", s);
         }
     }
 
@@ -284,19 +299,19 @@ proptest! {
         let calib = Tensor::from_vec(vec![0.5; 8], Shape::d2(2, 4)).unwrap();
         let plan = calibrate(&mut net, &[(calib, vec![0, 1])], 8).unwrap();
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
-        let mut ws = q.plan().workspace();
+        let mut ws = q.plan_for_batch(1).workspace();
+        let mut out = vec![0.0f32; q.classes()];
         for s in 0..3 {
             let img = Tensor::from_vec(xs[s * 4..(s + 1) * 4].to_vec(), Shape::d1(4)).unwrap();
-            let fresh = q.forward_codes(&img).unwrap();
-            let reference = q.forward_codes_reference(&img).unwrap();
-            let via_ws = q.forward_codes_with(&img, &mut ws).unwrap();
-            prop_assert_eq!(via_ws, &fresh[..], "workspace pass diverged at image {}", s);
-            prop_assert_eq!(fresh, reference, "packed vs reference diverged at image {}", s);
+            let fresh = bits(q.logits(&img).unwrap().as_slice());
+            q.logits_batch_into(img.as_slice(), 1, &mut ws, &mut out).unwrap();
+            prop_assert_eq!(bits(&out), fresh.clone(), "workspace pass diverged at image {}", s);
+            prop_assert_eq!(fresh, oracle_bits(&q, &img), "packed vs reference diverged at image {}", s);
         }
     }
 
     /// Ragged-batch coverage for the batch-fused forward on the MLP:
-    /// every batch size 1..=9 must match, code-for-code, both the same
+    /// every batch size 1..=9 must match, bit for bit, both the same
     /// fused path called once per image at batch 1 and the decode-based
     /// reference oracle (the serving batcher produces exactly these
     /// ragged tails when traffic ebbs).
@@ -313,16 +328,12 @@ proptest! {
         let q = QuantizedNet::from_network(&net, &plan).unwrap();
         let mut rng = TensorRng::seed_from(seed + 1);
         let batch = rng.gaussian([n, 4], 0.0, 0.5);
-        let fused_codes = q.forward_codes_batch(&batch).unwrap();
-        for (s, codes) in fused_codes.iter().enumerate() {
+        let fused_logits = q.logits_batch(&batch).unwrap();
+        for s in 0..n {
             let img = batch.index_axis0(s);
-            prop_assert_eq!(codes, &q.forward_codes(&img).unwrap(), "batch-1 call, image {}", s);
-            prop_assert_eq!(
-                codes,
-                &q.forward_codes_reference(&img).unwrap(),
-                "decode oracle, image {}",
-                s
-            );
+            let row = bits(fused_logits.index_axis0(s).as_slice());
+            prop_assert_eq!(&row, &bits(q.logits(&img).unwrap().as_slice()), "batch-1 call, image {}", s);
+            prop_assert_eq!(&row, &oracle_bits(&q, &img), "decode oracle, image {}", s);
         }
         // The flat logits entry agrees bit-for-bit with n calls of
         // itself at batch 1, and a plan sized for max_batch 9 serves

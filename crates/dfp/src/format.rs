@@ -234,6 +234,28 @@ mod tests {
         }
     }
 
+    /// Every radix point a model can load ([−32, 32]) dequantizes the 256
+    /// codes of an 8-bit format to 256 distinct finite values, so two
+    /// dequantized logit vectors agree bit for bit exactly when their
+    /// codes do. (It fails from frac −122 down, where every code from 64
+    /// up overflows `f32` to infinity.)
+    #[test]
+    fn dequantize_is_injective_on_8_bit_codes() {
+        for frac in -32..=32i8 {
+            let f = DfpFormat::q8(frac);
+            let mut bits: Vec<u32> = (f.min_code()..=f.max_code())
+                .map(|c| {
+                    let v = f.dequantize(c);
+                    assert!(v.is_finite(), "frac {frac}, code {c}: {v}");
+                    v.to_bits()
+                })
+                .collect();
+            bits.sort_unstable();
+            bits.dedup();
+            assert_eq!(bits.len(), 256, "frac {frac}: two codes share a value");
+        }
+    }
+
     #[test]
     fn slice_helpers() {
         let f = DfpFormat::q8(4);

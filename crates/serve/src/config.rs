@@ -41,7 +41,10 @@ pub struct ServeConfig {
     /// it costs every request popped into an unfilled batch up to
     /// `max_wait` of added latency — at low load, all of them.
     /// `Duration::ZERO` turns it off: the batch path then reads no clock
-    /// and a request never waits for company. Default 1 ms.
+    /// and a request never waits for company. A `max_wait` past the
+    /// clock's range (`Duration::MAX`) lingers with no deadline, until
+    /// the batch fills, a priority request arrives or the server closes.
+    /// Default 1 ms.
     pub max_wait: Duration,
     /// Per-model in-flight quota: at most this many requests per model
     /// may be queued/in flight at once; the excess is rejected with
@@ -251,7 +254,8 @@ pub struct HttpConfig {
     /// previous response) is answered `408 Request Timeout` and closed,
     /// releasing its connection-cap slot. A slow-loris peer trickling
     /// partial bytes is held to the same deadline. Counted in the
-    /// `http_idle_closed` metric.
+    /// `http_idle_closed` metric. An `idle_timeout` past the clock's
+    /// range (`Duration::MAX`) never idles a connection out.
     pub idle_timeout: Duration,
 }
 

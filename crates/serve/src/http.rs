@@ -592,7 +592,9 @@ fn handle_connection(
     // until `filled` reaches it there is nothing new to parse.
     let mut need = 0;
     let mut armed_timeout = None;
-    let mut idle_deadline = Instant::now() + config.idle_timeout;
+    // An `idle_timeout` past the clock's range has no deadline: the
+    // connection never idles out.
+    let mut idle_deadline = Instant::now().checked_add(config.idle_timeout);
     loop {
         if filled > 0 && filled >= need {
             let parse_from = mfdfp_obs::now_ns();
@@ -613,7 +615,7 @@ fn handle_connection(
                     if reply.write_to(&mut stream).is_err() || !keep_alive {
                         return;
                     }
-                    idle_deadline = Instant::now() + config.idle_timeout;
+                    idle_deadline = Instant::now().checked_add(config.idle_timeout);
                     continue;
                 }
                 Ok((None, total)) => need = total,
@@ -624,14 +626,18 @@ fn handle_connection(
             }
         }
         let now = Instant::now();
-        if now >= idle_deadline {
-            server.metrics_inner().http_idle_closed.inc();
-            let _ = Reply::error(408, "connection idle timeout", false).write_to(&mut stream);
-            return;
-        }
+        let to_idle = match idle_deadline {
+            Some(deadline) if now >= deadline => {
+                server.metrics_inner().http_idle_closed.inc();
+                let _ = Reply::error(408, "connection idle timeout", false).write_to(&mut stream);
+                return;
+            }
+            Some(deadline) => deadline - now,
+            None => Duration::MAX,
+        };
         // One `setsockopt` per *change* of the slice, not per read: away
         // from the idle deadline it is `read_timeout` every time.
-        let slice = config.read_timeout.min(idle_deadline - now).max(Duration::from_millis(1));
+        let slice = config.read_timeout.min(to_idle).max(Duration::from_millis(1));
         if armed_timeout != Some(slice) {
             let _ = stream.set_read_timeout(Some(slice));
             armed_timeout = Some(slice);

@@ -41,8 +41,9 @@
 //!    order, on the worker that popped the batch, through
 //!    `Ensemble::logits_batch_into` under `catch_unwind` (a panicking
 //!    dispatch degrades to typed [`ServeError::WorkerPanic`] responses;
-//!    the worker survives). A single network is served as the ensemble
-//!    of one ([`ServedModel`]). Models run concurrently across
+//!    the worker survives). A served model is the `Arc<Ensemble>`
+//!    itself ([`ServedModel`]); a single network is the ensemble of
+//!    one. Models run concurrently across
 //!    `shards × workers`; inside one group the packed kernel fans its
 //!    rows out on the shared `mfdfp-rt` pool (see README "Threading
 //!    model").

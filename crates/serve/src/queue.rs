@@ -233,17 +233,23 @@ impl<T> BoundedQueue<T> {
         let take = max.min(inner.items.len());
         let mut batch: Vec<T> = inner.items.drain(..take).collect();
         // Only a positive `max_wait` lingers: at zero no clock is read
-        // and no timer is parked on.
+        // and no timer is parked on. A `max_wait` past the clock's range
+        // has no deadline: the linger ends when the batch fills, a
+        // priority item arrives or the queue closes.
         if !max_wait.is_zero() {
-            let deadline = Instant::now() + max_wait;
+            let deadline = Instant::now().checked_add(max_wait);
             while batch.len() < max && !inner.closed && inner.priority.is_empty() {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) =
-                    self.not_empty.wait_timeout(inner, deadline - now).expect("queue poisoned");
-                inner = guard;
+                inner = match deadline {
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            break;
+                        }
+                        let wait = self.not_empty.wait_timeout(inner, deadline - now);
+                        wait.expect("queue poisoned").0
+                    }
+                    None => self.not_empty.wait(inner).expect("queue poisoned"),
+                };
                 let take = (max - batch.len()).min(inner.items.len());
                 batch.extend(inner.items.drain(..take));
             }

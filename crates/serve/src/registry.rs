@@ -3,104 +3,19 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use mfdfp_core::{AlignedBytes, CoreError, Ensemble, QuantizedNet, ZooView};
-use mfdfp_tensor::{Tensor, Workspace, WorkspacePlan};
+use mfdfp_core::{AlignedBytes, Ensemble, QuantizedNet, ZooView};
 
 use crate::error::{Result, ServeError};
 
 /// A deployable inference target: a logit-averaged ensemble of MF-DFP
 /// networks (the paper's Phase 3 deployment). A single network is the
-/// ensemble of one — the paper's `M = 1` — and is served bit-identically
-/// to a direct [`QuantizedNet`] call: its average is `(0 + z) · 1`, and
-/// the datapath never produces a `-0.0` logit that the `0 +` could flip.
+/// ensemble of one (`Arc<Ensemble>: From<QuantizedNet>`), served
+/// bit-identically to a direct [`QuantizedNet`] call.
 ///
-/// Cloning is cheap (`Arc`); workers hold the clone resolved at admission,
-/// so re-registering a name mid-flight never changes in-flight requests.
-#[derive(Debug, Clone)]
-pub struct ServedModel(Arc<Ensemble>);
-
-impl ServedModel {
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.0.classes()
-    }
-
-    /// Expected input element count per image (every member takes the
-    /// same; [`Ensemble::new`] checks it).
-    pub fn input_len(&self) -> usize {
-        self.0.members()[0].input_len()
-    }
-
-    /// Dequantized logits for an `N×…` batch (`N×classes`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath faults.
-    pub fn logits_batch(&self, batch: &Tensor) -> std::result::Result<Tensor, CoreError> {
-        self.0.logits_batch(batch)
-    }
-
-    /// Number of ensemble members (1 for a single network) — the upper
-    /// bound of the degradation dial a dispatch worker may truncate to.
-    pub fn members(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The allocation-free batched-logits entry the dispatch workers use
-    /// ([`Ensemble::logits_batch_into`]): `data` is `n` images flat, `out`
-    /// receives the `n × classes` logits row-major, and all scratch comes
-    /// from `ws`. With `members == self.members()` the values are
-    /// identical to [`ServedModel::logits_batch`] on the same stacked
-    /// batch; a smaller `members` serves the member *prefix*,
-    /// bit-identical to a standalone `members`-sized ensemble.
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath faults and shape mismatches.
-    pub fn logits_batch_into(
-        &self,
-        data: &[f32],
-        n: usize,
-        ws: &mut Workspace,
-        out: &mut [f32],
-        members: usize,
-    ) -> std::result::Result<(), CoreError> {
-        self.0.logits_batch_into(data, n, ws, out, members)
-    }
-
-    /// Peak workspace sizes for serving this model (see
-    /// [`Ensemble::plan`]).
-    pub fn plan(&self) -> WorkspacePlan {
-        self.0.plan()
-    }
-
-    /// [`ServedModel::plan`] extended with the fused-batch dimension
-    /// ([`Ensemble::plan_for_batch`]): what a dispatch worker sizes its
-    /// scratch with so the batch-fused forward runs allocation-free up to
-    /// the batcher's coalescing limit.
-    pub fn plan_for_batch(&self, max_batch: usize) -> WorkspacePlan {
-        self.0.plan_for_batch(max_batch)
-    }
-
-    /// Stable identity of the underlying allocation — used to group
-    /// batched requests so two models that happen to share a name (one
-    /// re-registered mid-flight) are never mixed into one batch.
-    pub(crate) fn identity(&self) -> usize {
-        Arc::as_ptr(&self.0) as usize
-    }
-}
-
-impl From<QuantizedNet> for ServedModel {
-    fn from(net: QuantizedNet) -> Self {
-        Ensemble::new(vec![net]).expect("a one-member ensemble is always valid").into()
-    }
-}
-
-impl From<Ensemble> for ServedModel {
-    fn from(e: Ensemble) -> Self {
-        ServedModel(Arc::new(e))
-    }
-}
+/// Cloning is cheap; workers hold the clone resolved at admission, so
+/// re-registering a name mid-flight never changes in-flight requests,
+/// and the batcher groups requests by allocation ([`Arc::ptr_eq`]).
+pub type ServedModel = Arc<Ensemble>;
 
 /// One registry slot: the served model plus a monotonically increasing
 /// version, bumped on every replacement (register-over or

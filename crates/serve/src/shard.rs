@@ -266,20 +266,19 @@ fn shed_expired(batch: Vec<Request>) -> Vec<Request> {
 
 /// Splits a popped batch into per-model groups, preserving arrival order
 /// within each group. Grouping keys on the resolved model's allocation
-/// identity (not its name, so a name re-registered or hot-swapped
+/// (`Arc::ptr_eq`), not its name, so a name re-registered or hot-swapped
 /// mid-queue never mixes two different networks — or two versions of one
-/// network — into one batch). Admission refuses any image whose length
+/// network — into one batch. Admission refuses any image whose length
 /// is not the model's `input_len`, so one identity means one length.
 fn partition_by_model(batch: Vec<Request>) -> Vec<Vec<Request>> {
-    let mut groups: Vec<(usize, Vec<Request>)> = Vec::new();
+    let mut groups: Vec<Vec<Request>> = Vec::new();
     for request in batch {
-        let key = request.model.identity();
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, group)) => group.push(request),
-            None => groups.push((key, vec![request])),
+        match groups.iter_mut().find(|g| Arc::ptr_eq(&g[0].model, &request.model)) {
+            Some(group) => group.push(request),
+            None => groups.push(vec![request]),
         }
     }
-    groups.into_iter().map(|(_, g)| g).collect()
+    groups
 }
 
 /// One worker's dispatch scratch: the flattened input batch, the logits
@@ -332,7 +331,7 @@ fn dispatch_group(group: Vec<Request>, metrics: &ServerMetrics, scratch: &mut Wo
     // member; single models are unaffected). Prefix order is unchanged,
     // so a degraded k-member answer is bit-identical to a standalone
     // k-member ensemble.
-    let total_members = model.members();
+    let total_members = model.len();
     let level = (metrics.degrade_level() as usize).min(total_members.saturating_sub(1));
     let members = total_members - level;
     let degraded = members < total_members;

@@ -347,6 +347,33 @@ fn idle_keep_alive_connection_is_answered_408_and_reaped() {
     finish(http, server);
 }
 
+/// An `idle_timeout` of `Duration::MAX` ("forever", which
+/// `HttpConfig::validate` accepts) has no deadline — the clock cannot
+/// represent one — so the connection is answered, across read slices
+/// that expire while it sits idle, and never idled out.
+#[test]
+fn unbounded_idle_timeout_keeps_the_connection_served() {
+    let qnet = tiny_qnet(37);
+    let (http, server) = start_http_with(
+        &qnet,
+        HttpConfig {
+            idle_timeout: Duration::MAX,
+            read_timeout: Duration::from_millis(20),
+            ..Default::default()
+        },
+    );
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    let models = encode_request("GET", "/v1/models", &[], b"");
+    for pause in [0, 100] {
+        std::thread::sleep(Duration::from_millis(pause));
+        let (status, body) = roundtrip(&mut stream, &models);
+        assert_eq!(status, 200, "{body}");
+    }
+    assert_eq!(server.metrics().http_idle_closed, 0);
+    drop(stream);
+    finish(http, server);
+}
+
 #[test]
 fn slow_loris_partial_head_is_held_to_the_same_deadline() {
     let qnet = tiny_qnet(18);

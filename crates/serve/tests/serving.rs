@@ -536,6 +536,29 @@ fn unbounded_deadline_is_served_and_releases_its_quota_slot() {
     server.shutdown();
 }
 
+/// A "forever" linger (`max_wait: Duration::MAX`) has no deadline — the
+/// clock cannot represent one. The worker holds the first request until
+/// the batch fills, then answers both in one dispatch; the server stays
+/// up and shuts down cleanly.
+#[test]
+fn unbounded_linger_holds_the_batch_until_it_fills() {
+    let q = tiny_qnet(33);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("tiny", q.clone());
+    let cfg = ServeConfig { max_batch: 2, max_wait: Duration::MAX, ..ServeConfig::default() };
+    let server = Server::start(Arc::clone(&registry), cfg).unwrap();
+    let imgs = images(2, 33);
+    let tickets: Vec<_> =
+        imgs.iter().map(|img| server.submit("tiny", img.clone()).unwrap()).collect();
+    for (ticket, img) in tickets.into_iter().zip(&imgs) {
+        let response = ticket.wait().unwrap();
+        assert_eq!(response.batch_size, 2, "the linger ends when the batch fills");
+        assert_eq!(bits(&response.logits), bits(&q.logits(img).unwrap()));
+    }
+    assert_eq!((server.metrics().completed, server.metrics().failed), (2, 0));
+    server.shutdown();
+}
+
 /// Every knob at its default except the linger, which is off: the
 /// work-conserving configuration.
 fn no_linger() -> ServeConfig {

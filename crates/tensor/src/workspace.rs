@@ -13,11 +13,11 @@
 //! makes the whole forward path allocation-free at steady state.
 //!
 //! A workspace has one owner, the caller: it builds a [`Workspace`] from
-//! a model's plan and threads it through the `*_with`/`*_into` entry
-//! points. A serving worker owns one for its lifetime, so it warms once
-//! and is never contended — the software analogue of each hardware
-//! processing unit owning its activation buffers. The allocating
-//! conveniences build one from the plan per call.
+//! a model's plan and threads it through the `*_into` entry points. A
+//! serving worker owns one for its lifetime, so it warms once and is
+//! never contended — the software analogue of each hardware processing
+//! unit owning its activation buffers. The allocating conveniences build
+//! one from the plan per call.
 //!
 //! The packed GEMM kernel ([`crate::ops::qgemm`]) needs none of this: its
 //! buckets and accumulator lanes are fixed-size arrays on the stack of
@@ -26,9 +26,11 @@
 use mfdfp_dfp::AlignedVec;
 
 /// Peak scratch-buffer sizes for one model, as computed from its layer
-/// geometry (`QuantizedNet::plan()` in `mfdfp-core` records it at load).
-/// Feeding a plan to [`Workspace::with_plan`] sizes every buffer once, so
-/// even the first forward pass allocates nothing.
+/// geometry (`QuantizedNet::plan_for_batch` in `mfdfp-core` returns the
+/// one recorded at load). Every lane is a per-image peak that
+/// [`Workspace::reserve`] scales by [`WorkspacePlan::batch`]. Feeding a
+/// plan to [`Workspace::with_plan`] sizes every buffer once, so even the
+/// first forward pass allocates nothing.
 ///
 /// Plans combine with [`WorkspacePlan::merge`] (element-wise max), so one
 /// workspace can be pre-sized for every model a worker may serve.
@@ -41,11 +43,11 @@ pub struct WorkspacePlan {
     /// `col_height × out_pixels` product over the convolution layers.
     pub im2col_len: usize,
     /// Peak `f32` scratch length (elements): logit staging for ensemble
-    /// averaging (`batch × classes`).
+    /// averaging (`classes`).
     pub f32_len: usize,
     /// Largest fused batch the workspace must hold: the batched conv path
-    /// interleaves `B` images per activation element, so the activation
-    /// ping-pong pair and the im2col staging area each scale by `B`.
+    /// interleaves `B` images per activation element, so every lane
+    /// scales by `B`.
     /// `0` and `1` both mean "single image" (so `Default` and older
     /// single-image plans keep their meaning); see
     /// [`WorkspacePlan::batch`].
@@ -134,17 +136,17 @@ impl Workspace {
         ws
     }
 
-    /// Grows any buffer still below `plan`'s peaks (never shrinks). The
-    /// activation and im2col lanes scale by [`WorkspacePlan::batch`]: a
-    /// plan with `max_batch = 8` warms the workspace for fused batches of
-    /// up to eight images (and, a fortiori, for every smaller batch).
+    /// Grows any buffer still below `plan`'s peaks (never shrinks). Every
+    /// lane scales by [`WorkspacePlan::batch`]: a plan with
+    /// `max_batch = 8` warms the workspace for fused batches of up to
+    /// eight images (and, a fortiori, for every smaller batch).
     pub fn reserve(&mut self, plan: &WorkspacePlan) {
         let b = plan.batch();
         for act in &mut self.act {
             act.reserve(plan.act_len * b);
         }
         self.im2col.reserve(plan.im2col_len * b);
-        self.f32buf.reserve(plan.f32_len);
+        self.f32buf.reserve(plan.f32_len * b);
     }
 
     /// Whether every buffer already has at least `plan`'s capacity — i.e.
@@ -154,7 +156,7 @@ impl Workspace {
         let b = plan.batch();
         self.act.iter().all(|a| a.capacity() >= plan.act_len * b)
             && self.im2col.capacity() >= plan.im2col_len * b
-            && self.f32buf.capacity() >= plan.f32_len
+            && self.f32buf.capacity() >= plan.f32_len * b
     }
 
     /// The im2col staging buffer, resized to exactly `len` elements
@@ -181,7 +183,7 @@ impl Workspace {
     }
 
     /// The first `len` codes of the front activation buffer — the network
-    /// output after a `forward_codes_with` pass.
+    /// output after a forward pass.
     ///
     /// # Panics
     ///
@@ -239,9 +241,11 @@ mod tests {
         assert!(ws.is_warm_for(&single.for_batch(3)));
         assert!(ws.is_warm_for(&single));
         assert!(!single.workspace().is_warm_for(&batched));
-        // f32 staging is not batch-scaled (callers size it explicitly in
-        // their plans), so the batched plan asks for the same 4 slots.
-        assert!(single.workspace().f32buf.capacity() >= 4);
+        // The f32 lane scales the same way: staging for one image's
+        // logits is not staging for the batch's.
+        let logits = WorkspacePlan { f32_len: 1000, ..WorkspacePlan::default() };
+        assert!(logits.for_batch(8).workspace().f32buf.capacity() >= 8000);
+        assert!(!logits.workspace().is_warm_for(&logits.for_batch(8)));
     }
 
     #[test]

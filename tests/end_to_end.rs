@@ -153,13 +153,13 @@ fn determinism_same_seed_same_everything() {
         assert_eq!(a.train_loss, b.train_loss);
         assert_eq!(a.test_error, b.test_error);
     }
-    // And the deployed artifacts produce identical codes.
+    // And the deployed artifacts produce identical logits, bit for bit.
     let (x, _) = Batcher::new(&split.test, 4).iter().next().expect("batch");
     let img = x.index_axis0(0);
-    assert_eq!(
-        out_a.qnet.forward_codes(&img).expect("codes"),
-        out_b.qnet.forward_codes(&img).expect("codes")
-    );
+    let bits = |q: &QuantizedNet| -> Vec<u32> {
+        q.logits(&img).expect("logits").as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&out_a.qnet), bits(&out_b.qnet));
 }
 
 #[test]

@@ -82,7 +82,10 @@ fn grouped_net_trains_quantizes_and_deploys() {
     let view = ImageView::open(Arc::new(to_image(&qnet))).unwrap();
     let back = QuantizedNet::from_image(&view).unwrap();
     let img = x.index_axis0(0);
-    assert_eq!(qnet.forward_codes(&img).unwrap(), back.forward_codes(&img).unwrap());
+    let bits = |q: &QuantizedNet| -> Vec<u32> {
+        q.logits(&img).unwrap().as_slice().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&qnet), bits(&back));
 
     // The scheduler handles grouped layers (fewer MACs than dense).
     let sched =
